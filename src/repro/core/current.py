@@ -31,7 +31,7 @@ Three solvers are provided:
 
 Warm starts: callers that already know ``lambda_m`` (the incremental
 engine's shift-inverted estimate) pass it via ``lambda_m=`` to skip
-the per-round dense eigensolve, and seed the search with ``bounds=``
+the per-round Lanczos solve, and seed the search with ``bounds=``
 — a sub-interval of ``[0, upper]`` around the previous round's
 optimum, validated by interior-vs-edge probes and expanded when the
 minimum moved outside it.

@@ -2,7 +2,7 @@
 
 The cold :func:`~repro.core.deploy.greedy_deploy` loop treats every
 round as a fresh problem: rebuild the model, recompute ``lambda_m``
-with a dense eigensolve, restart the Problem 2 bracket from zero.
+with the Lanczos kernel, restart the Problem 2 bracket from zero.
 Consecutive rounds differ by a handful of TEC stamps, so almost all
 of that work is redundant.  :func:`incremental_greedy_deploy` runs
 the *same algorithm* (Figure 5 — identical round structure, identical
@@ -17,7 +17,7 @@ termination rules) through three reuse layers:
    previous round's runaway eigenvector — mapped across the rounds'
    node renumbering by stable node *names* — seeds a few shift-
    inverted inverse iterations through the solve engine, replacing
-   the dense eigensolve.  The Rayleigh-quotient estimate certifies an
+   the cold Lanczos solve.  The Rayleigh-quotient estimate certifies an
    upper bound on ``lambda_m``; if it ever overshoots past the safety
    margin, the resulting :class:`SingularSystemError` is caught, the
    exact eigenvalue recomputed, and the round's optimization retried
@@ -30,9 +30,8 @@ termination rules) through three reuse layers:
 Because a warmed round touches only a handful of distinct currents,
 rounds with a large Peltier support (``_DIRECT_MIN_SUPPORT``) skip
 the Woodbury machinery entirely and run on the ``"direct"`` backend —
-one small sparse LU per current instead of the dense influence-block
-build the cold path cannot avoid (its runaway eigensolve needs the
-block).  Such rounds report ``border_mode == "direct"``.
+one small sparse LU per current instead of the dense Woodbury
+influence block.  Such rounds report ``border_mode == "direct"``.
 
 The final optimum is refined by
 :func:`~repro.core.current.polish_current`, making the reported
@@ -55,11 +54,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from repro.core.current import minimize_peak_temperature, polish_current
-from repro.linalg.runaway import (
-    reduced_eigen_value,
-    runaway_current_eigen,
-    runaway_current_shift_invert,
-)
+from repro.linalg.runaway import runaway_current_shift_invert
 from repro.thermal.border import BorderedDeployContext
 from repro.thermal.solve import SingularSystemError
 
@@ -81,12 +76,12 @@ class RoundStats:
     evaluations:
         Steady-state solves spent by the Problem 2 search.
     runaway_method:
-        ``"eigen"`` (dense), ``"eigen-z"`` (dense, riding the solve
-        engine's cached influence block), ``"shift-invert"`` (warm) —
-        with ``"+rescue"`` appended when a singular solve forced an
+        ``"eigen"`` (the Lanczos kernel) or ``"shift-invert"`` (warm)
+        — with ``"+rescue"`` appended when a singular solve forced an
         exact recomputation mid-round.
     runaway_iterations:
-        Shift-invert solve count (0 for the dense paths).
+        Shift-invert solve count, or the kernel's ``G^{-1}``
+        applications (0 when the cold path's search computed it).
     current_warm:
         True when the Problem 2 search ran inside a warm-start bracket.
     border_mode:
@@ -122,7 +117,9 @@ class DeployStats:
     """Whole-run reuse instrumentation for GreedyDeploy.
 
     ``rounds`` holds one :class:`RoundStats` per greedy round; the
-    counters aggregate reuse hits across the run.
+    counters aggregate reuse hits across the run.  ``runaway_dense``
+    counts cold calls of the Lanczos kernel (the name predates it and
+    is kept for the report schema), ``runaway_warm`` shift-invert ones.
     """
 
     engine: str = "cold"
@@ -217,9 +214,8 @@ _SAFETY_FRACTION = 0.98
 #: the dense influence block: measured at support 1774 / 4888 nodes,
 #: one sparse LU costs 25 ms against a 1.1 s influence build plus
 #: 160 ms per capacitance factorization.  Cold-start rounds always
-#: stay on the reuse backend — the dense runaway eigensolve needs the
-#: influence block anyway, and a cold bracket search evaluates enough
-#: currents to amortize it.
+#: stay on the reuse backend: a cold bracket search evaluates enough
+#: currents to amortize the influence block.
 _DIRECT_MIN_SUPPORT = 256
 
 
@@ -244,30 +240,17 @@ def _map_vector(vector, names, model):
 
 
 def _exact_runaway(model, stats=None):
-    """Dense ``lambda_m`` + eigenvector, riding cached solver state.
+    """``lambda_m`` + eigenvector from the Lanczos kernel.
 
-    In (effective) reuse mode the solve engine's influence block
-    already contains ``Z = (G^{-1})[S, S]``, and the reduced runaway
-    eigenproblem is ``eig(Z diag(d_S))`` — zero additional
-    factorizations.  Other backends pay one standalone sparse LU
-    inside :func:`runaway_current_eigen`.
+    :meth:`~repro.thermal.model.PackageThermalModel.runaway_current`
+    rides the round's base factorization (or the bordered cross-round
+    solve adopted in its place) on the reuse and krylov backends, so
+    the kernel adds no sparse LU there.
     """
     if stats is not None:
         stats.runaway_dense += 1
-    system = model.system
-    if model.solver.effective_mode == "reuse":
-        support, d_support, w_block, z_block = model.solver.influence_block()
-        if support.size == 0:
-            return math.inf, None, "eigen-z", 0
-        small = z_block * d_support[np.newaxis, :]
-        result, vector = reduced_eigen_value(
-            small, w_block, d_support, return_vector=True
-        )
-        return result.value, vector, "eigen-z", 0
-    result, vector = runaway_current_eigen(
-        system.g_matrix, system.d_diagonal, return_vector=True
-    )
-    return result.value, vector, "eigen", 0
+    result, vector = model.runaway_current(return_vector=True)
+    return result.value, vector, "eigen", result.iterations
 
 
 def _runaway_estimate(model, previous, stats):

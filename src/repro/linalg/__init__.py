@@ -60,6 +60,7 @@ from repro.linalg.mor import (
     resolve_rom_mode,
 )
 from repro.linalg.runaway import (
+    RunawayConvergenceError,
     RunawayCurrent,
     runaway_current,
     runaway_current_binary_search,
@@ -88,6 +89,7 @@ __all__ = [
     "ROM_MODES",
     "ReducedModel",
     "ReducedTransient",
+    "RunawayConvergenceError",
     "RunawayCurrent",
     "adjacency_graph",
     "block_arnoldi",

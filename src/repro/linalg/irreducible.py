@@ -14,37 +14,40 @@ thermally isolated from the ambient.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
 def adjacency_graph(matrix, tol=0.0):
-    """Build the undirected adjacency graph of a symmetric matrix.
+    """The undirected adjacency graph of a symmetric matrix.
 
-    Nodes are ``0..n-1``; an edge joins ``k`` and ``l`` (``k != l``)
-    whenever ``|M[k, l]| > tol``.  Diagonal entries are ignored.
+    Returned as a symmetric boolean CSR matrix over nodes ``0..n-1``:
+    entry ``(k, l)`` (``k != l``) is set whenever ``|M[k, l]| > tol``.
+    Diagonal entries are ignored, so the graph has ``nnz // 2`` edges.
     """
     if sp.issparse(matrix):
-        coo = matrix.tocoo()
+        coo = sp.coo_matrix(matrix)
+        if coo.shape[0] != coo.shape[1]:
+            raise ValueError("matrix must be square, got shape {}".format(coo.shape))
+        keep = (coo.row != coo.col) & (np.abs(coo.data) > tol)
+        rows, cols = coo.row[keep], coo.col[keep]
         n = coo.shape[0]
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n))
-        for k, l, value in zip(coo.row, coo.col, coo.data):
-            if k != l and abs(value) > tol:
-                graph.add_edge(int(k), int(l))
-        return graph
-    dense = np.asarray(matrix, dtype=float)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise ValueError("matrix must be square, got shape {}".format(dense.shape))
-    n = dense.shape[0]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    rows, cols = np.nonzero(np.abs(dense) > tol)
-    for k, l in zip(rows, cols):
-        if k != l:
-            graph.add_edge(int(k), int(l))
-    return graph
+    else:
+        dense = np.asarray(matrix, dtype=float)
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise ValueError("matrix must be square, got shape {}".format(dense.shape))
+        mask = np.abs(dense) > tol
+        np.fill_diagonal(mask, False)
+        rows, cols = np.nonzero(mask)
+        n = dense.shape[0]
+    # Symmetrize so a one-sided entry still links both ends; the CSR
+    # conversion merges the duplicates.
+    return sp.coo_matrix(
+        (np.ones(2 * rows.size, dtype=bool),
+         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(n, n),
+    ).tocsr()
 
 
 def is_irreducible(matrix, tol=0.0):
@@ -54,10 +57,8 @@ def is_irreducible(matrix, tol=0.0):
     matrix is irreducible by convention (it is not a direct sum of two
     non-empty square matrices).
     """
-    graph = adjacency_graph(matrix, tol=tol)
-    if graph.number_of_nodes() <= 1:
-        return True
-    return nx.is_connected(graph)
+    count, _ = connected_components(adjacency_graph(matrix, tol=tol), directed=False)
+    return count <= 1
 
 
 def irreducible_components(matrix, tol=0.0):
@@ -67,5 +68,7 @@ def irreducible_components(matrix, tol=0.0):
     of the sub-matrices indexed by these components; an irreducible
     matrix yields a single component covering every index.
     """
-    graph = adjacency_graph(matrix, tol=tol)
-    return [sorted(component) for component in nx.connected_components(graph)]
+    count, labels = connected_components(
+        adjacency_graph(matrix, tol=tol), directed=False
+    )
+    return [np.flatnonzero(labels == k).tolist() for k in range(count)]

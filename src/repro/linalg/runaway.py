@@ -14,8 +14,26 @@ left, i.e. the package undergoes **thermal runaway** at
 ``i = lambda_m`` because Peltier pumping is exactly cancelled by Joule
 heating and back-conduction (zero-COP condition).
 
-Two computations are provided:
+Three computations are provided:
 
+``runaway_current_eigen``
+    The kernel every ``lambda_m`` in the package goes through.  The
+    symmetric-definite pencil ``D x = mu G x`` has ``lambda_m =
+    1 / mu_max``; a sparse ``G`` runs generalized Lanczos (ARPACK
+    ``eigsh`` in mode 2, ``which="LA"``) for that one extreme
+    eigenpair, with ``G^{-1}`` applied through a caller-supplied solve
+    (the solve session's base factorization) or one sparse LU of its
+    own.  Each Lanczos step costs one solve and one mat-vec, so the
+    cost no longer grows like ``m^3`` in the number of deployed TECs.
+    A dense ``G`` goes to ``scipy.linalg.eigh``.  The returned value is
+    the Rayleigh quotient ``x' G x / x' D x`` of the Ritz vector — with
+    ``x' D x > 0`` a certified *upper* bound on ``lambda_m`` (Theorem
+    1's variational characterization), the safe side for the Problem 2
+    search cap — and the bracket's lower end carries the residual-based
+    error, a lower bound only if the Ritz pair is the extreme one.  ARPACK failing to converge raises
+    :class:`RunawayConvergenceError`; there is no silent fallback.
+    (The former dense reduction to the ``2m x 2m`` support matrix
+    survives only as the test suite's reference oracle.)
 ``runaway_current_binary_search``
     The paper's algorithm — binary search on ``i`` with a Cholesky
     positive-definiteness oracle (Section V.C.1).  Accepts an
@@ -23,37 +41,31 @@ Two computations are provided:
     seed the doubling phase: adding TECs can only extend the Peltier
     support, so consecutive rounds' runaway currents are close and the
     hinted bracket collapses in a handful of oracle calls.
-``runaway_current_eigen``
-    An exact cross-check.  Factor ``G = L L'``; then ``G - i D`` is
-    singular iff ``1/i`` is an eigenvalue of the symmetric matrix
-    ``M = L^{-1} D L^{-T}``, so ``lambda_m = 1 / mu_max`` with
-    ``mu_max`` the largest (necessarily positive) eigenvalue of ``M``.
-    When ``D`` has few non-zero entries (one hot and one cold node per
-    deployed TEC) the eigenproblem is reduced to that support, which
-    keeps the computation cheap for package-scale networks.
 ``runaway_current_shift_invert``
     Warm-started inverse iteration on the pencil ``(G, D)`` for the
     incremental deployment engine: given the previous round's runaway
     eigenvector, a few shift-inverted solves ``(G - s D)^{-1} D v``
     through the solve engine's cached factorizations converge to the
-    new ``lambda_m`` — no dense eigensolve, no extra sparse LU.  The
-    returned value is a Rayleigh quotient ``x' G x / x' D x`` with
-    ``x' D x > 0`` and therefore a certified *upper* bound on the true
-    ``lambda_m`` (Theorem 1's variational characterization), which is
-    exactly the safe side for the Problem 2 search cap.
+    new ``lambda_m`` — no extra sparse LU.  Like the kernel it returns
+    a Rayleigh quotient, hence a certified upper bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from repro.linalg.spd import cholesky_is_spd
+
+
+class RunawayConvergenceError(RuntimeError):
+    """The Lanczos iteration for ``lambda_m`` did not converge."""
 
 
 @dataclass(frozen=True)
@@ -68,10 +80,18 @@ class RunawayCurrent:
     method:
         ``"eigen"`` or ``"binary-search"``.
     iterations:
-        Oracle invocations (binary search) or 0 (eigen).
+        Oracle invocations (binary search), ``G^{-1}`` applications
+        (eigen, sparse; 0 for a dense ``G``) or inverse iterations
+        (shift-invert).
     bracket:
-        Final ``(low, high)`` bracket for the binary search; for the
-        eigen method both ends equal ``value``.
+        ``(low, high)`` around ``lambda_m``: the final binary-search
+        bracket; for the eigen method ``high == value`` is the
+        certified Rayleigh bound and ``low`` subtracts the
+        residual-based error of the Ritz pair.  That error only
+        promises *some* pencil eigenvalue near the Ritz value, so
+        ``low`` is a lower bound on ``lambda_m`` only when the Ritz
+        pair is the extreme one (which ``which="LA"`` targets but
+        does not certify).
     """
 
     value: float
@@ -112,80 +132,81 @@ def _combine(g_matrix, diag, current):
     return np.asarray(g_matrix, dtype=float) - current * np.diag(diag)
 
 
-def reduced_eigen_value(small, basis=None, diag_support=None, *,
-                        return_vector=False):
-    """``lambda_m`` from the reduced support matrix ``K = Z diag(d_S)``.
-
-    ``small`` is the support-restricted matrix whose nonzero
-    eigenvalues equal those of ``G^{-1} D``.  With ``return_vector``,
-    the dominant eigenvector is lifted back to full node space through
-    ``basis`` (the influence columns ``G^{-1} I_S``) and
-    ``diag_support`` — the lift ``v = basis (d_S * u)`` satisfies
-    ``G v = lambda_m D v``.  Lets the solve engine's cached influence
-    block answer the eigenproblem without any extra factorization.
-    """
-    if return_vector:
-        eigenvalues, eigenvectors = np.linalg.eig(small)
-    else:
-        eigenvalues = np.linalg.eigvals(small)
-        eigenvectors = None
-    # The pencil (G, D) with G SPD has real spectrum; discard the
-    # imaginary round-off introduced by the unsymmetric reduction.
-    real_parts = np.real(eigenvalues)
-    positive_mask = real_parts > 0.0
-    if not np.any(positive_mask):
-        result = RunawayCurrent(math.inf, "eigen", 0, (math.inf, math.inf))
-        return (result, None) if return_vector else result
-    masked = np.where(positive_mask, real_parts, -math.inf)
-    index = int(np.argmax(masked))
-    mu_max = float(real_parts[index])
-    value = 1.0 / mu_max
-    result = RunawayCurrent(value, "eigen", 0, (value, value))
-    if not return_vector:
-        return result
-    vector = None
-    if basis is not None and diag_support is not None:
-        u = np.real(eigenvectors[:, index])
-        lifted = basis @ (np.asarray(diag_support, dtype=float) * u)
-        norm = float(np.linalg.norm(lifted))
-        if norm > 0.0 and np.all(np.isfinite(lifted)):
-            vector = lifted / norm
-    return result, vector
+def _no_runaway(method):
+    return RunawayCurrent(math.inf, method, 0, (math.inf, math.inf))
 
 
-def runaway_current_eigen(g_matrix, d_matrix, *, return_vector=False):
-    """Exact ``lambda_m`` via the reduced symmetric eigenproblem.
+def runaway_current_eigen(g_matrix, d_matrix, *, solve=None, return_vector=False):
+    """``lambda_m`` from the extreme eigenpair of the pencil ``D x = mu G x``.
 
-    See the module docstring for the derivation.  Returns a
-    :class:`RunawayCurrent` with ``method="eigen"``; with
-    ``return_vector`` a ``(result, vector)`` pair where ``vector`` is
-    the runaway eigenvector in full node space (unit 2-norm, None when
-    no runaway exists) — the warm-start seed for
+    See the module docstring.  A sparse ``G`` runs ARPACK's generalized
+    Lanczos; ``solve(rhs) -> G^{-1} rhs`` supplies the inverse (the
+    solve session's base factorization), and without it one sparse LU
+    of ``G`` is built here.  A dense ``G`` is solved by
+    ``scipy.linalg.eigh``.  ARPACK iterates to machine precision.
+
+    Returns a :class:`RunawayCurrent` with ``method="eigen"`` whose
+    value is the Rayleigh quotient of the Ritz vector (a certified
+    upper bound on ``lambda_m``); with ``return_vector`` a
+    ``(result, vector)`` pair where ``vector`` is the runaway
+    eigenvector (unit 2-norm, non-negative sum, None when no runaway
+    exists) — the warm-start seed for
     :func:`runaway_current_shift_invert` on the next deployment.
+
+    Raises
+    ------
+    RunawayConvergenceError
+        When ARPACK does not converge.
     """
     diag = _diagonal_of(d_matrix)
     n = diag.shape[0]
-    support = np.nonzero(diag)[0]
-    if support.size == 0 or not np.any(diag > 0.0):
-        result = RunawayCurrent(math.inf, "eigen", 0, (math.inf, math.inf))
+    if not np.any(diag > 0.0):
+        result = _no_runaway("eigen")
         return (result, None) if return_vector else result
-    if sp.issparse(g_matrix):
-        lu = splu(g_matrix.tocsc())
-        # Columns of G^{-1} restricted to the support of D, solved as
-        # one batched multi-RHS pass through the factorization.
-        rhs = np.zeros((n, support.size))
-        rhs[support, np.arange(support.size)] = 1.0
-        basis = lu.solve(rhs)
+    calls = 0
+    # ARPACK needs k = 1 < n; a 1x1 system is solved densely.
+    if sp.issparse(g_matrix) and n > 1:
+        g_matrix = g_matrix.tocsc()
+        if solve is None:
+            solve = splu(g_matrix).solve
+
+        def apply_inverse(rhs):
+            nonlocal calls
+            calls += 1
+            return solve(np.ravel(rhs))
+
+        try:
+            _, ritz = eigsh(
+                sp.diags(diag), k=1, M=g_matrix, which="LA", v0=np.ones(n),
+                Minv=LinearOperator((n, n), matvec=apply_inverse, dtype=float),
+            )
+        except ArpackNoConvergence as error:
+            raise RunawayConvergenceError(
+                "Lanczos for lambda_m did not converge on {} nodes".format(n)
+            ) from error
     else:
-        dense_g = np.asarray(g_matrix, dtype=float)
-        cho = scipy.linalg.cho_factor(dense_g, lower=True)
-        basis = scipy.linalg.cho_solve(cho, np.eye(n)[:, support])
-    # Nonzero eigenvalues of G^{-1} D equal those of the small matrix
-    # K = (G^{-1})[support][:, support] @ diag(d_sub).
-    small = basis[support, :] * diag[support][np.newaxis, :]
-    return reduced_eigen_value(
-        small, basis, diag[support], return_vector=return_vector
-    )
+        g_matrix = np.asarray(
+            g_matrix.toarray() if sp.issparse(g_matrix) else g_matrix, dtype=float
+        )
+        solve = functools.partial(
+            scipy.linalg.cho_solve, scipy.linalg.cho_factor(g_matrix)
+        )
+        _, ritz = scipy.linalg.eigh(np.diag(diag), g_matrix,
+                                    subset_by_index=[n - 1, n - 1])
+    x = ritz[:, 0]
+    gx = g_matrix @ x
+    x_g_x = float(x @ gx)
+    x_d_x = float(x @ (diag * x))
+    value = x_g_x / x_d_x
+    # The pencil's Ritz value mu = 1/value has an eigenvalue within
+    # ||r||_{G^-1} / ||x||_G of it, r = D x - mu G x.
+    residual = diag * x - gx / value
+    error = math.sqrt(max(float(residual @ solve(residual)), 0.0) / x_g_x)
+    result = RunawayCurrent(value, "eigen", calls, (1.0 / (1.0 / value + error), value))
+    if not return_vector:
+        return result
+    vector = x / np.linalg.norm(x)
+    return result, (-vector if vector.sum() < 0.0 else vector)
 
 
 def runaway_current_shift_invert(
@@ -250,16 +271,13 @@ def runaway_current_shift_invert(
     -------
     (RunawayCurrent, vector) or (None, None)
         ``(None, None)`` signals no convergence within the budget —
-        callers fall back to the exact eigen path.  On success the
-        value is a Rayleigh quotient with ``x' D x > 0``, hence a
+        callers fall back to :func:`runaway_current_eigen`.  On success
+        the value is a Rayleigh quotient with ``x' D x > 0``, hence a
         certified upper bound on the true ``lambda_m``.
     """
     diag = _diagonal_of(d_matrix)
     if not np.any(diag > 0.0):
-        return (
-            RunawayCurrent(math.inf, "shift-invert", 0, (math.inf, math.inf)),
-            None,
-        )
+        return _no_runaway("shift-invert"), None
 
     def _rayleigh(x):
         denom = float(np.dot(x * diag, x))
@@ -369,7 +387,7 @@ def runaway_current_binary_search(
     if not cholesky_is_spd(g_matrix):
         raise ValueError("G must be positive definite (Lemma 1 hypothesis)")
     if not np.any(diag > 0.0):
-        return RunawayCurrent(math.inf, "binary-search", 0, (math.inf, math.inf))
+        return _no_runaway("binary-search")
 
     oracle_calls = 0
     low = 0.0
@@ -412,13 +430,15 @@ def runaway_current_binary_search(
 def runaway_current(g_matrix, d_matrix, *, method="eigen", **kwargs):
     """Compute ``lambda_m`` by the requested method.
 
-    ``method="eigen"`` (default) is exact and fast for the sparse
-    package networks; ``method="binary-search"`` reproduces the
-    paper's algorithm.  Both agree to the binary search's tolerance —
-    the test suite and ``benchmarks/bench_runaway.py`` verify this.
+    ``method="eigen"`` (default) is the Lanczos kernel
+    :func:`runaway_current_eigen`; ``method="binary-search"``
+    reproduces the paper's algorithm.  Both agree to the binary
+    search's tolerance — the test suite and
+    ``benchmarks/bench_runaway.py`` verify this.  ``kwargs`` go to the
+    chosen method.
     """
     if method == "eigen":
-        return runaway_current_eigen(g_matrix, d_matrix)
+        return runaway_current_eigen(g_matrix, d_matrix, **kwargs)
     if method == "binary-search":
         return runaway_current_binary_search(g_matrix, d_matrix, **kwargs)
     raise ValueError("unknown method {!r}; use 'eigen' or 'binary-search'".format(method))

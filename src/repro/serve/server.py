@@ -5,8 +5,10 @@ module provides a minimal one on ``asyncio.start_server``: enough of
 HTTP/1.1 for a JSON API — request line, headers, ``Content-Length``
 bodies, keep-alive with an idle timeout — and the ASGI 3 connection
 scope/``receive``/``send`` contract (including the lifespan
-protocol).  Chunked request bodies are answered with 501; responses
-are never chunked because the app always sets ``Content-Length``.
+protocol).  Chunked request bodies are answered with 501, bodies
+above the size limit with 413 (unread) and a malformed
+``Content-Length`` with 400; responses are never chunked because the
+app always sets ``Content-Length``.
 
 Three entry points:
 
@@ -27,6 +29,8 @@ import threading
 MAX_HEADER_LINE = 16 * 1024
 MAX_HEADERS = 100
 KEEPALIVE_TIMEOUT_S = 10.0
+#: Longest a refused connection keeps discarding the client's input.
+LINGER_S = 2.0
 
 
 class _BadRequest(Exception):
@@ -34,7 +38,12 @@ class _BadRequest(Exception):
 
 
 class AsgiHttpServer:
-    """Serve one ASGI 3 application over HTTP/1.1."""
+    """Serve one ASGI 3 application over HTTP/1.1.
+
+    A request announcing a ``Content-Length`` above the app's
+    ``config.request_max_bytes`` is answered 413 before any of its
+    body is read.
+    """
 
     def __init__(self, app, host="127.0.0.1", port=0, *,
                  keepalive_timeout_s=KEEPALIVE_TIMEOUT_S):
@@ -128,10 +137,14 @@ class AsgiHttpServer:
                     break  # clean EOF between requests
                 keep_alive = await self._dispatch(request, writer)
                 await writer.drain()
+                if request["reject"]:
+                    await self._lingering_close(reader, writer)
+                    break
                 if not keep_alive:
                     break
         except (_BadRequest, asyncio.IncompleteReadError, ValueError):
             self._write_error(writer, 400, "bad request")
+            await self._lingering_close(reader, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
@@ -143,6 +156,28 @@ class AsgiHttpServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    @staticmethod
+    async def _lingering_close(reader, writer):
+        """Half-close a refused connection, dropping the client's input.
+
+        Closing a socket with unread input makes the kernel send a
+        reset, which can destroy the refusal before the client reads
+        it — and a client usually sends its body right after the
+        headers.  So the write side is shut first and incoming bytes
+        are discarded until the client closes or :data:`LINGER_S`
+        passes.
+        """
+
+        async def discard():
+            while await reader.read(64 * 1024):
+                pass
+
+        try:
+            writer.write_eof()
+            await asyncio.wait_for(discard(), LINGER_S)
+        except (asyncio.TimeoutError, ConnectionError):
+            pass
 
     async def _read_request(self, reader):
         line = await reader.readline()
@@ -166,18 +201,25 @@ class AsgiHttpServer:
             name, _, value = raw.decode("latin-1").partition(":")
             headers.append((name.strip().lower(), value.strip()))
         header_map = dict(headers)
+        request = {"method": method, "target": target, "headers": headers,
+                   "body": b"", "version": version, "reject": None}
         if header_map.get("transfer-encoding", "").lower() == "chunked":
-            return {"method": method, "target": target, "headers": headers,
-                    "body": b"", "version": version, "unsupported": 501}
-        length = int(header_map.get("content-length", "0") or "0")
-        body = await reader.readexactly(length) if length else b""
-        return {"method": method, "target": target, "headers": headers,
-                "body": body, "version": version, "unsupported": None}
+            request["reject"] = (501, "chunked bodies not supported")
+            return request
+        raw_length = header_map.get("content-length", "") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _BadRequest("invalid content-length")
+        length = int(raw_length)
+        if length > self.app.config.request_max_bytes:
+            # Refused unread: the connection closes after the answer.
+            request["reject"] = (413, "request body too large")
+        elif length:
+            request["body"] = await reader.readexactly(length)
+        return request
 
     async def _dispatch(self, request, writer):
-        if request["unsupported"]:
-            self._write_error(writer, request["unsupported"],
-                              "chunked bodies not supported")
+        if request["reject"]:
+            self._write_error(writer, *request["reject"])
             return False
         path, _, query = request["target"].partition("?")
         scope = {

@@ -671,8 +671,20 @@ class PackageThermalModel:
         """The runaway limit ``lambda_m`` of this deployment (Theorem 1).
 
         Returns a :class:`~repro.linalg.runaway.RunawayCurrent`;
-        ``math.inf`` when no TEC is deployed (``D = 0``).
+        ``math.inf`` when no TEC is deployed (``D = 0``).  ``kwargs``
+        go to the method (``return_vector=True`` makes the eigen
+        kernel return a ``(result, vector)`` pair).  On the ``reuse``
+        and ``krylov`` backends the eigen kernel applies ``G^{-1}``
+        through the steady solver's base factorization, which those
+        backends build for their own solves anyway; the other
+        backends leave the kernel one sparse LU of its own.
         """
+        if (
+            method == "eigen"
+            and self.stamps
+            and self.solver.effective_mode in ("reuse", "krylov")
+        ):
+            kwargs.setdefault("solve", self.solver.base_factorization().solve)
         return _runaway_current(
             self.system.g_matrix, self.system.d_diagonal, method=method, **kwargs
         )

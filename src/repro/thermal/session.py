@@ -633,23 +633,6 @@ class SessionView:
         self._support = support
         self._d_support = self.system.d_diagonal[support]
 
-    def influence_block(self):
-        """``(support, d_support, w, z)`` of the Woodbury engine.
-
-        Forces the base factorization and the batched influence build
-        (reuse-mode machinery) and returns the Peltier support indices,
-        the support diagonal, the influence columns ``W = G^{-1} I_S``
-        and ``Z = W[support]``.  The reduced runaway eigenproblem is
-        ``eig(Z diag(d_S))`` — the incremental deployment engine uses
-        this to compute ``lambda_m`` (and its eigenvector) with zero
-        additional factorizations.
-        """
-        self._ensure_influence()
-        if self._support.size == 0:
-            empty = np.zeros((self.system.num_nodes, 0))
-            return self._support, self._d_support, empty, np.zeros((0, 0))
-        return self._support, self._d_support, self._w, self._z
-
     def _ensure_influence(self):
         """Batch-solve the Woodbury influence block ``W = G^{-1} I_S``.
 

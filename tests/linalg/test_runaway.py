@@ -7,8 +7,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence, spsolve
 
 from repro.linalg.runaway import (
+    RunawayConvergenceError,
     rayleigh_quotient_bound,
     runaway_current,
     runaway_current_binary_search,
@@ -17,6 +19,8 @@ from repro.linalg.runaway import (
 )
 from repro.linalg.spd import cholesky_is_spd
 from repro.linalg.stieltjes import random_stieltjes
+
+from tests.linalg.runaway_oracle import dense_reduced_runaway
 
 
 def _instance(n, seed, hot=0, cold=1, alpha=0.05):
@@ -249,3 +253,126 @@ class TestShiftInvert:
         )
         assert math.isinf(result.value)
         assert out is None
+
+
+def _mixed_pencil(n, seed, density):
+    """A random Stieltjes ``G`` with ~n/3 hot/cold Peltier pairs."""
+    rng = np.random.default_rng(seed)
+    g = random_stieltjes(n, density=density, seed=seed)
+    pairs = max(1, n // 3)
+    nodes = rng.choice(n, size=2 * pairs, replace=False)
+    d = np.zeros(n)
+    d[nodes[:pairs]] = rng.uniform(0.02, 0.4, size=pairs)
+    d[nodes[pairs:]] = -rng.uniform(0.02, 0.4, size=pairs)
+    return g, d
+
+
+def _checkerboard_model():
+    """The 32x32 die, uniform 60 W, checkerboard TEC deployment (512
+    TECs) — the closed-loop control instance."""
+    from repro.core.problem import CoolingSystemProblem
+    from repro.thermal.chiplet import grown_default_stack
+    from repro.thermal.geometry import TileGrid
+
+    grid = TileGrid(32, 32)
+    problem = CoolingSystemProblem(
+        grid, np.full(grid.num_tiles, 60.0 / grid.num_tiles),
+        max_temperature_c=1000.0,
+        stack=grown_default_stack(grid.width, grid.height),
+    )
+    return problem.model(
+        [tile for tile in range(grid.num_tiles) if (tile // 32 + tile % 32) % 2 == 0]
+    )
+
+
+def _two_chiplet_model():
+    from repro.thermal.chiplet import demo_two_chiplet_layout
+    from repro.thermal.model import CompositeThermalModel
+
+    layout = demo_two_chiplet_layout(rows=4, cols=4, gap=2, power_w=8.0)
+    return CompositeThermalModel(layout, tec_tiles=(0, 5, 10, 17, 22, 27))
+
+
+class TestLanczosKernel:
+    """The sparse Lanczos kernel against the dense reduced oracle."""
+
+    @given(
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=0, max_value=2**31),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_oracle(self, n, seed, density, sparse):
+        g, d = _mixed_pencil(n, seed, density)
+        if sparse:
+            g = sp.csr_matrix(g)
+        result = runaway_current_eigen(g, d)
+        assert result.value == pytest.approx(dense_reduced_runaway(g, d), rel=1e-10)
+        low, high = result.bracket
+        assert low <= high == result.value
+
+    @pytest.fixture(scope="class", params=["checkerboard-32x32", "two-chiplet"])
+    def model(self, request):
+        if request.param == "two-chiplet":
+            return _two_chiplet_model()
+        return _checkerboard_model()
+
+    def test_model_matches_dense_oracle(self, model):
+        g, d = model.system.g_matrix, model.system.d_diagonal
+        oracle, oracle_vector = dense_reduced_runaway(g, d, return_vector=True)
+        result, vector = model.runaway_current(return_vector=True)
+        assert result.value == pytest.approx(oracle, rel=1e-10)
+        # Same kernel with its own sparse LU instead of the session's.
+        own = runaway_current_eigen(g, d).value
+        assert own == pytest.approx(oracle, rel=1e-10)
+        assert np.linalg.norm(vector - oracle_vector) < 1e-6
+
+    def test_theorem1_dichotomy(self, model):
+        g, d = model.system.g_matrix, model.system.d_diagonal
+        lam = model.runaway_current().value
+        assert cholesky_is_spd(g - 0.999 * lam * sp.diags(d))
+        assert not cholesky_is_spd(g - 1.001 * lam * sp.diags(d))
+
+    def test_vector_is_a_runaway_eigenvector(self, model):
+        g, d = model.system.g_matrix, model.system.d_diagonal
+        result, vector = model.runaway_current(return_vector=True)
+        assert np.linalg.norm(vector) == pytest.approx(1.0)
+        gv = g @ vector
+        residual = gv - result.value * (d * vector)
+        assert np.linalg.norm(residual) / np.linalg.norm(gv) <= 1e-8
+
+    def test_value_is_the_certified_rayleigh_bound(self, model):
+        g, d = model.system.g_matrix, model.system.d_diagonal
+        result, vector = model.runaway_current(return_vector=True)
+        assert rayleigh_quotient_bound(g, d, vector) == pytest.approx(
+            result.value, rel=1e-12
+        )
+        low, high = result.bracket
+        assert high == result.value
+        assert 0.0 <= result.value - low <= 1e-8 * result.value
+
+    def test_no_convergence_raises(self, monkeypatch):
+        """ARPACK giving up is a typed error, not a silent estimate."""
+
+        def stalled_eigsh(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr("repro.linalg.runaway.eigsh", stalled_eigsh)
+        g, d = _instance(30, seed=12)
+        with pytest.raises(RunawayConvergenceError):
+            runaway_current_eigen(sp.csc_matrix(g), d)
+
+    def test_solve_is_the_callers(self):
+        g, d = _instance(30, seed=12)
+        g = sp.csc_matrix(g)
+        calls = []
+
+        def solve(rhs):
+            calls.append(rhs.shape)
+            return spsolve(g, rhs)
+
+        result = runaway_current_eigen(g, d, solve=solve)
+        assert result.value == pytest.approx(dense_reduced_runaway(g, d), rel=1e-10)
+        assert calls and all(shape == (30,) for shape in calls)
+        assert result.iterations == len(calls) - 1

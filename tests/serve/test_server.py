@@ -71,6 +71,71 @@ class TestTcp:
             raw = sock.recv(4096)
         assert raw.startswith(b"HTTP/1.1 501")
 
+    @staticmethod
+    def _raw_post(server, content_length, body=b""):
+        with socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as sock:
+            sock.sendall(
+                b"POST /solve HTTP/1.1\r\n"
+                b"Host: x\r\n"
+                b"Content-Length: " + content_length + b"\r\n"
+                b"\r\n" + body
+            )
+            return sock.recv(4096)
+
+    def test_oversized_length_is_413_without_reading_the_body(self, server):
+        """A 50 MB announcement is refused from the headers alone: the
+        client sends none of the body and still gets its answer."""
+        raw = self._raw_post(server, b"52428800")
+        assert raw.startswith(b"HTTP/1.1 413")
+        assert b"request body too large" in raw
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            status, body = _request(conn, "GET", "/healthz")
+        finally:
+            conn.close()
+        assert status == 200
+        assert body["status"] == "ok"
+
+    @pytest.mark.parametrize("length", [b"-5", b"abc", b"1e3", b"+7"])
+    def test_malformed_length_is_400(self, server, length):
+        assert self._raw_post(server, length, b"{}").startswith(b"HTTP/1.1 400")
+
+    def test_oversized_body_sent_anyway_still_gets_413(self):
+        """A client that sends its over-limit body right after the
+        headers (as ``http.client`` does) still reads the 413: the host
+        drains the unread body instead of resetting the connection."""
+        app = create_app(ServeConfig(batch_window_s=0.0, request_max_bytes=64))
+        with ServerThread(app) as small:
+            for _ in range(5):
+                conn = http.client.HTTPConnection(small.host, small.port, timeout=10)
+                try:
+                    conn.request("POST", "/solve", body=b"x" * (4 * 1024 * 1024))
+                    response = conn.getresponse()
+                    error = json.loads(response.read().decode("utf-8"))["error"]
+                finally:
+                    conn.close()
+                assert response.status == 413
+                assert error == "request body too large"
+
+    def test_length_at_the_limit_is_read(self):
+        """The host limit is the app's ``request_max_bytes``;
+        a body within it reaches the app (here: invalid JSON, a 400
+        from the app rather than a 413 from the host)."""
+        app = create_app(ServeConfig(batch_window_s=0.0, request_max_bytes=64))
+        with ServerThread(app) as small:
+            assert self._raw_post(small, b"65").startswith(b"HTTP/1.1 413")
+            conn = http.client.HTTPConnection(small.host, small.port, timeout=10)
+            try:
+                conn.request("POST", "/solve", body=b"x" * 64)
+                response = conn.getresponse()
+                error = json.loads(response.read().decode("utf-8"))["error"]
+            finally:
+                conn.close()
+        assert response.status == 400
+        assert "invalid JSON" in error
+
     def test_request_pool_load_generator(self, server):
         pool = RequestPool(server.host, server.port, clients=2)
         report = pool.run(
