@@ -6,13 +6,11 @@ assembled system and probe currents through the batched
 :meth:`~repro.thermal.session.SessionView.solve_batch` kernel, and
 checks the acceptance criteria of the backend-layer PRs:
 
-* every backend agrees with the ``direct`` reference (``cholesky``
-  once the grid outgrows the direct limit) on the peak temperature of
-  every probe current to 1e-6 K;
-* on a >= 48x48 grid with a dense deployment, the ``krylov`` backend
-  beats the blocked-Woodbury ``reuse`` mode wall-clock;
-* on the 128x128 grid (stride-lattice deployment), the batched
-  ``cholesky`` backend beats ``reuse`` wall-clock;
+* every backend agrees with the ``direct`` reference on the peak
+  temperature of every probe current to 1e-6 K;
+* on every >= 48x48 grid where both ran, the ``direct`` backend (one
+  sparse SPD factorization per current) beats the blocked-Woodbury
+  ``reuse`` mode wall-clock;
 * on the 256x256 grid (>= 260k nodes) the geometric-multigrid ``mg``
   backend beats every assembled-factorization backend by >= 2x
   wall-clock while holding less solver state (``solver_bytes``, the
@@ -26,8 +24,8 @@ perf trajectory is machine-readable across commits.
 
 The grid list honours the ``BENCH_BACKENDS_GRIDS`` environment
 variable (comma-separated side lengths, e.g. ``8,16``) so CI can run a
-fast subset; the >= 48x48 speedup assertion skips itself when no large
-grid is in the list.  The ``reuse`` backend is skipped (and the skip
+fast subset; the >= 48x48 and 256x256 assertions skip themselves when
+no such grid is in the list.  The ``reuse`` backend is skipped (and the skip
 logged in the JSON) once the Peltier support exceeds
 ``_REUSE_SUPPORT_LIMIT`` — its dense influence block would not fit a
 small machine, which is exactly the scaling wall this PR removes.
@@ -54,7 +52,7 @@ from repro.thermal.stack import PackageStack
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _DEFAULT_GRIDS = "8,16,32,48,64,128,256"
-_BACKENDS = ("direct", "reuse", "krylov", "cholesky", "mg")
+_BACKENDS = ("direct", "reuse", "mg")
 
 #: Total die power (W), split uniformly over the tiles so refining the
 #: grid changes the resolution, not the thermal problem.
@@ -69,12 +67,6 @@ _PROBE_CURRENTS = (0.25, 0.5, 1.0)
 #: dense ``n x support`` influence block and ``support^3`` capacitance
 #: factorization are the scaling wall under study.
 _REUSE_SUPPORT_LIMIT = 2500
-
-#: Skip the ``direct`` backend beyond this node count: one general LU
-#: *per probe current* on a >= 260k-node system is the per-current
-#: scaling wall the mg tier removes — the agreement reference falls
-#: back to ``cholesky`` on those grids.
-_DIRECT_NODE_LIMIT = 100_000
 
 #: Grids up to this side get full TEC coverage; larger ones a
 #: checkerboard (still dense: 50% of the tiles).
@@ -155,7 +147,7 @@ def _safe_currents(system):
 
 def _time_backend(system, backend, currents):
     solver = SteadyStateSolver(system, mode=backend)
-    # The previous backend's session (large LU factors, the dense reuse
+    # The previous backend's session (large factors, the dense reuse
     # influence block) dies through cycle collection; sweep it now so
     # the decay doesn't land inside this backend's measurement.
     gc.collect()
@@ -213,15 +205,6 @@ def run_workload(sides=None):
                     ),
                 ))
                 continue
-            if backend == "direct" and system.num_nodes > _DIRECT_NODE_LIMIT:
-                entries.append(dict(
-                    base,
-                    backend="direct",
-                    skipped="{} nodes exceed the direct limit {}".format(
-                        system.num_nodes, _DIRECT_NODE_LIMIT
-                    ),
-                ))
-                continue
             measured = _time_backend(system, backend, currents)
             timings[backend] = measured
             entry = dict(base, **measured)
@@ -231,19 +214,17 @@ def run_workload(sides=None):
             # The acceptance ratios: how much faster each challenger
             # backend answers the same probe currents than the dense
             # Woodbury update.
-            for backend in ("krylov", "cholesky", "mg"):
+            for backend in ("direct", "mg"):
                 if backend in timings:
                     measured_entries[backend]["speedup_vs_reuse"] = (
                         timings["reuse"]["wall_s"] / timings[backend]["wall_s"]
                     )
-        if "mg" in timings:
-            # The mg acceptance ratios: wall-clock vs each
-            # assembled-factorization backend on the same system.
-            for backend in ("direct", "cholesky"):
-                if backend in timings:
-                    measured_entries["mg"]["speedup_vs_" + backend] = (
-                        timings[backend]["wall_s"] / timings["mg"]["wall_s"]
-                    )
+        if "mg" in timings and "direct" in timings:
+            # The mg acceptance ratio: wall-clock vs the per-current
+            # factorization on the same system.
+            measured_entries["mg"]["speedup_vs_direct"] = (
+                timings["direct"]["wall_s"] / timings["mg"]["wall_s"]
+            )
     metadata = {
         "workload": "grid-resolution scaling, dense TEC deployments",
         "total_power_w": _TOTAL_POWER_W,
@@ -270,10 +251,8 @@ def test_backends_agree(workload):
             by_grid.setdefault(entry["grid"], []).append(entry)
     assert by_grid
     for grid, measured in by_grid.items():
-        # direct is the reference where it ran; past _DIRECT_NODE_LIMIT
-        # the factored-SPD backend takes over as the exact baseline.
         by_backend = {e["backend"]: e for e in measured}
-        reference = by_backend.get("direct") or by_backend.get("cholesky")
+        reference = by_backend.get("direct")
         assert reference is not None, grid
         for entry in measured:
             for peak, ref_peak in zip(entry["peak_k"], reference["peak_k"]):
@@ -282,12 +261,12 @@ def test_backends_agree(workload):
                 )
 
 
-def test_krylov_beats_reuse_on_large_grid(workload):
+def test_direct_beats_reuse_on_large_grids(workload):
     entries, _ = workload
     ratios = {
         entry["grid"]: entry["speedup_vs_reuse"]
         for entry in entries
-        if entry.get("backend") == "krylov"
+        if entry.get("backend") == "direct"
         and entry.get("speedup_vs_reuse") is not None and entry["side"] >= 48
     }
     print()
@@ -301,35 +280,13 @@ def test_krylov_beats_reuse_on_large_grid(workload):
                 entry["num_nodes"], entry["support"]))
     if not ratios:
         pytest.skip(
-            "no >= 48x48 grid ran both reuse and krylov "
+            "no >= 48x48 grid ran both reuse and direct "
             "(BENCH_BACKENDS_GRIDS subset)"
         )
-    best = max(ratios.values())
-    print("krylov speedup vs reuse on large grids: " + ", ".join(
+    print("direct speedup vs reuse on large grids: " + ", ".join(
         "{} {:.1f}x".format(grid, ratio) for grid, ratio in sorted(ratios.items())
     ))
-    assert best > 1.0
-
-
-@pytest.mark.slow
-def test_cholesky_beats_reuse_on_128(workload):
-    """The batched sparse-SPD backend wins the 128x128 column."""
-    entries, _ = workload
-    ratios = {
-        entry["grid"]: entry["speedup_vs_reuse"]
-        for entry in entries
-        if entry.get("backend") == "cholesky"
-        and entry.get("speedup_vs_reuse") is not None and entry["side"] >= 128
-    }
-    if not ratios:
-        pytest.skip(
-            "no >= 128x128 grid ran both reuse and cholesky "
-            "(BENCH_BACKENDS_GRIDS subset)"
-        )
-    print("cholesky speedup vs reuse: " + ", ".join(
-        "{} {:.1f}x".format(grid, ratio) for grid, ratio in sorted(ratios.items())
-    ))
-    assert max(ratios.values()) > 1.0
+    assert min(ratios.values()) > 1.0
 
 
 @pytest.mark.slow
@@ -351,7 +308,7 @@ def test_mg_wins_256(workload):
         rivals = [
             entry for entry in entries
             if entry["side"] == mg_entry["side"] and "skipped" not in entry
-            and entry["backend"] in ("direct", "cholesky")
+            and entry["backend"] in ("direct", "reuse")
         ]
         assert rivals, "mg ran unopposed on {}".format(mg_entry["grid"])
         for rival in rivals:

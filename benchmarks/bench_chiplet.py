@@ -7,7 +7,7 @@ shared interposer/spreader/sink) and measures:
 * composite assembly time and node count — the 2.5D build must stay
   in the same complexity class as the single-die assembly;
 * the geometric-multigrid solve of the composite system, against the
-  factored-SPD ``cholesky`` baseline where it fits — the acceptance
+  factored-SPD ``direct`` baseline where it fits — the acceptance
   column is the 128-per-chiplet package (>= 150k nodes), where the
   chiplet grid only the mg tier handles comfortably must solve and
   agree with the baseline to 1e-6 K;
@@ -44,9 +44,9 @@ _DEFAULT_SIDES = "16,32,128"
 #: uniformly, so refining the grids changes the resolution only.
 _CHIPLET_POWER_W = 30.0
 
-#: The cholesky baseline stops being timed past this node count; the
+#: The direct baseline stops being timed past this node count; the
 #: mg column keeps going alone (with its residual as the check).
-_CHOLESKY_NODE_LIMIT = 400_000
+_DIRECT_NODE_LIMIT = 400_000
 
 #: Columns at or below this per-chiplet side also run the independent
 #: reference assembly (dense spsolve — fine at small scale only).
@@ -108,21 +108,21 @@ def run_workload(sides=None):
         mg_model, mg_entry = _time_solve(layout, "mg")
         base["num_nodes"] = int(mg_model.num_nodes)
         entries.append(dict(base, **mg_entry))
-        if mg_model.num_nodes <= _CHOLESKY_NODE_LIMIT:
-            _, chol_entry = _time_solve(layout, "cholesky")
-            chol_entry["mg_speedup"] = (
-                chol_entry["solve_s"] / mg_entry["solve_s"]
+        if mg_model.num_nodes <= _DIRECT_NODE_LIMIT:
+            _, direct_entry = _time_solve(layout, "direct")
+            direct_entry["mg_speedup"] = (
+                direct_entry["solve_s"] / mg_entry["solve_s"]
             )
-            chol_entry["peak_delta_vs_mg_c"] = abs(
-                chol_entry["peak_c"] - mg_entry["peak_c"]
+            direct_entry["peak_delta_vs_mg_c"] = abs(
+                direct_entry["peak_c"] - mg_entry["peak_c"]
             )
-            entries.append(dict(base, **chol_entry))
+            entries.append(dict(base, **direct_entry))
         else:
             entries.append(dict(
                 base,
-                backend="cholesky",
-                skipped="{} nodes exceed the cholesky limit {}".format(
-                    mg_model.num_nodes, _CHOLESKY_NODE_LIMIT
+                backend="direct",
+                skipped="{} nodes exceed the direct limit {}".format(
+                    mg_model.num_nodes, _DIRECT_NODE_LIMIT
                 ),
             ))
         if side <= _REFERENCE_SIDE_LIMIT:

@@ -8,7 +8,7 @@ Usage (also installed as the ``repro`` console script)::
                                [--round-stats]
     python -m repro.cli sweep [--benchmark alpha] [--power-scales 0.9 1.1]
                               [--budgets 0 0.5 1.0] [--workers 4]
-                              [--backend krylov]
+                              [--backend mg]
     python -m repro.cli solve --benchmark alpha [--limit 85] [--json OUT]
                               [--engine incremental] [--max-rounds N]
                               [--round-stats]
@@ -48,7 +48,7 @@ from repro import __version__
 #: the scientific stack at parser-build time; unknown backends fail at
 #: parse time with this list, uniformly across every subcommand
 #: (``tests/test_cli.py::TestBackendValidation``).
-_BACKENDS = ("direct", "reuse", "krylov", "cholesky", "mg", "auto")
+_BACKENDS = ("direct", "reuse", "mg", "auto")
 
 #: GreedyDeploy engines exposed by ``--engine``.  Mirrors
 #: :data:`repro.core.deploy.DEPLOY_ENGINES` (same deferred-import
@@ -453,10 +453,9 @@ def _add_solver_options(parser, command):
         flags=("--backend", "--solver-mode"),
         dest="solver_mode",
         help="steady-state solver backend: 'reuse' (blocked Woodbury, "
-             "default), 'direct' (one LU per distinct current), 'krylov' "
-             "(G-preconditioned GMRES with direct fallback), 'cholesky' "
-             "(sparse SPD factorization; CHOLMOD when installed), or "
-             "'auto' (reuse vs krylov by support size)",
+             "default), 'direct' (one sparse SPD factorization per "
+             "distinct current), 'mg' (multigrid-preconditioned CG), or "
+             "'auto' (reuse, direct or mg by support size and node count)",
     )
     parser.add_argument(
         "--solver-cache-size", type=int, default=None,

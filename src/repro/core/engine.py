@@ -244,8 +244,8 @@ def _exact_runaway(model, stats=None):
 
     :meth:`~repro.thermal.model.PackageThermalModel.runaway_current`
     rides the round's base factorization (or the bordered cross-round
-    solve adopted in its place) on the reuse and krylov backends, so
-    the kernel adds no sparse LU there.
+    solve adopted in its place) on the reuse backend, so the kernel
+    adds no sparse LU there.
     """
     if stats is not None:
         stats.runaway_dense += 1

@@ -44,11 +44,11 @@ class CoolingSystemProblem:
     solver_mode:
         Steady-state solver backend for every model built by this
         problem — one of :data:`~repro.thermal.solve.SOLVER_MODES`:
-        ``"reuse"`` (default — one sparse LU per deployment, blocked
-        Woodbury updates across currents), ``"direct"`` (one sparse LU
-        per distinct current), ``"krylov"`` (G-preconditioned
-        GMRES/BiCGSTAB with direct fallback), or ``"auto"`` (pick
-        reuse vs krylov per deployment from the support size).
+        ``"reuse"`` (default — one sparse factorization per deployment,
+        blocked Woodbury updates across currents), ``"direct"`` (one
+        sparse factorization per distinct current), ``"mg"``
+        (multigrid-preconditioned CG), or ``"auto"`` (pick per
+        deployment from the support size and node count).
     solver_cache_size:
         Per-current cache size forwarded to the solver.
     incremental_assembly:

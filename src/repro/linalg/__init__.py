@@ -24,7 +24,6 @@ these routines.
 """
 
 from repro.linalg.cholesky import (
-    HAVE_CHOLMOD,
     CholeskyFactor,
     NotPositiveDefiniteError,
     spd_factorize,
@@ -42,7 +41,6 @@ from repro.linalg.inverse_positive import (
 from repro.linalg.irreducible import adjacency_graph, is_irreducible
 from repro.linalg.krylov import (
     DEFAULT_RTOL,
-    KRYLOV_METHODS,
     KrylovReport,
     krylov_solve,
 )
@@ -81,8 +79,6 @@ __all__ = [
     "DEFAULT_ROM_DIM",
     "DEFAULT_ROM_TOL_K",
     "DEFAULT_RTOL",
-    "HAVE_CHOLMOD",
-    "KRYLOV_METHODS",
     "KrylovReport",
     "NotPositiveDefiniteError",
     "ROM_AUTO_MIN_NODES",

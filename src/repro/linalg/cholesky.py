@@ -1,22 +1,20 @@
-"""Sparse Cholesky factorization backend for SPD systems.
+"""Sparse SPD factorization backend for the session layer.
 
 The session core factors ``G - iD`` (and the shifted/capacitance
 variants) thousands of times per sweep; for the SPD matrices the paper
-guarantees below the runaway current, a sparse Cholesky factorization
-is the natural kernel — roughly half the flops and memory of an LU,
-and the standard backend of large-grid thermal simulators such as
-3D-ICE.
+guarantees below the runaway current, a symmetric factorization is the
+natural kernel — roughly half the fill of a general LU on the layered
+package meshes, and the standard backend of large-grid thermal
+simulators such as 3D-ICE.
 
-:func:`spd_factorize` is the single seam.  When scikit-sparse is
-importable it wraps CHOLMOD (supernodal Cholesky, the fast path on
-big grids).  Otherwise it falls back to SciPy's SuperLU restricted to
-symmetric mode with diagonal pivoting suppressed: with no off-diagonal
-pivoting the factorization of an SPD matrix is exactly the ``LDL'``
-Cholesky up to scaling, every pivot is positive, and a non-positive
-pivot certifies the matrix was not positive definite — the same oracle
-:mod:`repro.linalg.spd` uses.  Both paths expose one ``solve`` method
-accepting a vector or an ``(n, k)`` right-hand-side block, so the
-factor object is a drop-in for a ``splu`` handle in the session layer.
+:func:`spd_factorize` is the single seam: SciPy's SuperLU restricted
+to symmetric mode with diagonal pivoting suppressed and an MMD ordering
+on ``A + A'``.  With no off-diagonal pivoting the factorization of an
+SPD matrix is exactly the ``LDL'`` Cholesky up to scaling, every pivot
+is positive, and a non-positive pivot certifies the matrix was not
+positive definite — the same oracle :mod:`repro.linalg.spd` uses.  The
+factor exposes one ``solve`` method accepting a vector or an ``(n, k)``
+right-hand-side block, like a ``splu`` handle.
 """
 
 from __future__ import annotations
@@ -24,16 +22,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
-
-try:  # pragma: no cover - exercised only where CHOLMOD is installed
-    from sksparse.cholmod import CholmodNotPositiveDefiniteError
-    from sksparse.cholmod import cholesky as _cholmod_cholesky
-
-    HAVE_CHOLMOD = True
-except ImportError:  # pragma: no cover - the container has no sksparse
-    _cholmod_cholesky = None
-    CholmodNotPositiveDefiniteError = None
-    HAVE_CHOLMOD = False
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -48,9 +36,9 @@ class NotPositiveDefiniteError(ValueError):
 class CholeskyFactor:
     """A factored SPD matrix with a ``splu``-compatible ``solve``.
 
-    ``nnz`` is the factor fill (nonzeros of ``L + U`` for the SuperLU
-    path, of ``L`` for CHOLMOD) — the memory-accounting hook the
-    backend benchmarks use to compare solver-state footprints.
+    ``nnz`` is the factor fill (nonzeros of ``L + U``) — the
+    memory-accounting hook the backend benchmarks use to compare
+    solver-state footprints.
     """
 
     __slots__ = ("_solve", "shape", "nnz")
@@ -63,40 +51,6 @@ class CholeskyFactor:
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
         return self._solve(rhs)
-
-
-def _factorize_cholmod(matrix):  # pragma: no cover - needs sksparse
-    try:
-        factor = _cholmod_cholesky(matrix)
-    except CholmodNotPositiveDefiniteError as error:
-        raise NotPositiveDefiniteError(
-            "matrix is not positive definite (CHOLMOD)"
-        ) from error
-    return CholeskyFactor(factor, matrix.shape, nnz=factor.L().nnz)
-
-
-def _factorize_splu(matrix):
-    try:
-        # MMD on A + A' is the ordering SuperLU documents for symmetric
-        # mode — on the layered package meshes it roughly halves the
-        # fill (and factor time) versus the default COLAMD.
-        lu = splu(
-            matrix,
-            diag_pivot_thresh=0.0,
-            permc_spec="MMD_AT_PLUS_A",
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as error:
-        # SuperLU only raises when a pivot is exactly zero; treat it as
-        # the boundary case of a non-positive pivot.
-        raise NotPositiveDefiniteError(
-            "matrix is singular (zero pivot in symmetric factorization)"
-        ) from error
-    if not np.all(lu.U.diagonal() > 0.0):
-        raise NotPositiveDefiniteError(
-            "matrix is not positive definite (non-positive pivot)"
-        )
-    return CholeskyFactor(lu.solve, matrix.shape, nnz=lu.nnz)
 
 
 def spd_factorize(matrix):
@@ -128,6 +82,24 @@ def spd_factorize(matrix):
     csc = matrix.tocsc()
     if csc.shape[0] != csc.shape[1]:
         raise ValueError("matrix must be square, got {}".format(csc.shape))
-    if HAVE_CHOLMOD:  # pragma: no cover - needs sksparse
-        return _factorize_cholmod(csc)
-    return _factorize_splu(csc)
+    try:
+        # MMD on A + A' is the ordering SuperLU documents for symmetric
+        # mode — on the layered package meshes it roughly halves the
+        # fill (and factor time) versus the default COLAMD.
+        lu = splu(
+            csc,
+            diag_pivot_thresh=0.0,
+            permc_spec="MMD_AT_PLUS_A",
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as error:
+        # SuperLU only raises when a pivot is exactly zero; treat it as
+        # the boundary case of a non-positive pivot.
+        raise NotPositiveDefiniteError(
+            "matrix is singular (zero pivot in symmetric factorization)"
+        ) from error
+    if not np.all(lu.U.diagonal() > 0.0):
+        raise NotPositiveDefiniteError(
+            "matrix is not positive definite (non-positive pivot)"
+        )
+    return CholeskyFactor(lu.solve, csc.shape, nnz=lu.nnz)

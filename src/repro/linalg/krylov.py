@@ -1,26 +1,20 @@
-"""Preconditioned Krylov solves for the steady-state operator ``G - i D``.
+"""Preconditioned conjugate gradients for the ``mg`` solver backend.
 
-Lemma 1 makes ``G`` an irreducible positive definite Stieltjes matrix,
-and ``D`` is diagonal with support only on the TEC hot/cold nodes, so
+Below the runaway current the steady-state operator ``G - i D`` (and
+its shifted transient variants) is symmetric positive definite
+(Lemma 1, Theorem 1), and the multigrid V-cycle of
+:mod:`repro.linalg.multigrid` is a symmetric preconditioner by
+construction — the pairing preconditioned CG needs.  The ``mg`` backend
+of :mod:`repro.thermal.session` runs its outer iteration through
+:func:`krylov_solve`; every other backend factors the matrix directly.
 
-    M^{-1} (G - i D) = I - i G^{-1} D
-
-is the identity plus a rank-``|S|`` perturbation whose spectrum shrinks
-linearly with ``i / lambda_m`` (the runaway margin, Theorem 1).  With
-the cached sparse LU of ``G`` as the preconditioner ``M``, GMRES and
-BiCGSTAB therefore converge in a handful of iterations for any current
-comfortably below runaway — each iteration costs one triangular solve
-plus one sparse matrix-vector product, independent of the deployment
-density.  This is what lets the ``krylov`` solver backend scale to
-fine tile grids with dense TEC deployments, where the dense Woodbury
-capacitance of the ``reuse`` backend (``|S| x |S|``) becomes the
-bottleneck.
-
-The module is generic linear algebra: it takes any sparse/dense square
-matrix, any right-hand side (single vector or a column block), and any
-preconditioner exposing ``solve`` (e.g. a ``scipy.sparse.linalg.splu``
-object) or a plain callable.  The thermal layer
-(:mod:`repro.thermal.solve`) wires it into the solver-backend registry.
+The module is generic linear algebra: it takes any SPD sparse/dense
+matrix or :class:`~scipy.sparse.linalg.LinearOperator`, any right-hand
+side (single vector or a column block), and any preconditioner
+exposing ``solve`` (e.g. a factorization) or a plain callable.
+Convergence is verified against the true residual and the SPD
+certificate ``b'x > 0``, and a miss is reported rather than raised so
+callers can fall back to a direct solve.
 """
 
 from __future__ import annotations
@@ -29,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, bicgstab, cg, gmres
-
-#: Iterative methods accepted by :func:`krylov_solve`.  ``cg`` demands
-#: a symmetric positive definite matrix *and* preconditioner — the
-#: steady-state operator is SPD below the runaway current, and the
-#: multigrid V-cycle preconditioner is symmetric by construction, which
-#: is the pairing the ``mg`` backend uses.
-KRYLOV_METHODS = ("gmres", "bicgstab", "cg")
+from scipy.sparse.linalg import LinearOperator, cg
 
 #: Default relative residual target.  Temperatures are O(3e2) K and the
 #: package systems have cond(G) ~ 1e4, so 1e-10 relative leaves the
@@ -47,27 +34,25 @@ DEFAULT_RTOL = 1.0e-10
 
 @dataclass(frozen=True)
 class KrylovReport:
-    """Outcome of one (possibly multi-RHS) Krylov solve.
+    """Outcome of one (possibly multi-RHS) CG solve.
 
     Attributes
     ----------
     converged:
         True when *every* right-hand side reached the residual target
         (verified against the true residual ``||b - A x|| / ||b||``,
-        not the solver's internal estimate).
+        not the solver's internal estimate) with ``b'x > 0``, which
+        every SPD operator satisfies.
     iterations:
         Total matrix applications summed over all right-hand sides.
     residual:
         Worst relative residual over the right-hand sides (0.0 for an
         all-zero ``rhs``).
-    method:
-        The method that ran (one of :data:`KRYLOV_METHODS`).
     """
 
     converged: bool
     iterations: int
     residual: float
-    method: str
 
 
 def _as_preconditioner(preconditioner, n, dtype):
@@ -88,28 +73,19 @@ def _as_preconditioner(preconditioner, n, dtype):
     return LinearOperator((n, n), matvec=solve, dtype=dtype)
 
 
-def _run_method(method, matrix, column, m_op, rtol, maxiter, restart, counter):
-    """One single-RHS solve; returns the iterate (info is re-derived)."""
+def _run_cg(matrix, column, m_op, rtol, maxiter, counter, x0=None):
+    """One single-RHS CG solve; returns the iterate (info is re-derived)."""
 
     def count(_):
         counter[0] += 1
 
-    if method == "gmres":
-        kwargs = dict(
-            M=m_op, maxiter=maxiter, restart=restart,
-            callback=count, callback_type="pr_norm",
-        )
-        try:
-            x, _ = gmres(matrix, column, rtol=rtol, atol=0.0, **kwargs)
-        except TypeError:  # scipy < 1.12 spells rtol as tol
-            x, _ = gmres(matrix, column, tol=rtol, atol=0.0, **kwargs)
-        return x
-    solver = cg if method == "cg" else bicgstab
     kwargs = dict(M=m_op, maxiter=maxiter, callback=count)
+    if x0 is not None:
+        kwargs["x0"] = x0
     try:
-        x, _ = solver(matrix, column, rtol=rtol, atol=0.0, **kwargs)
+        x, _ = cg(matrix, column, rtol=rtol, atol=0.0, **kwargs)
     except TypeError:  # scipy < 1.12 spells rtol as tol
-        x, _ = solver(matrix, column, tol=rtol, atol=0.0, **kwargs)
+        x, _ = cg(matrix, column, tol=rtol, atol=0.0, **kwargs)
     return x
 
 
@@ -118,33 +94,27 @@ def krylov_solve(
     rhs,
     *,
     preconditioner=None,
-    method="gmres",
     rtol=DEFAULT_RTOL,
     maxiter=200,
-    restart=40,
 ):
-    """Solve ``matrix @ x = rhs`` iteratively with a preconditioner.
+    """Solve the SPD system ``matrix @ x = rhs`` by preconditioned CG.
 
     Parameters
     ----------
     matrix:
-        Square sparse (or dense) system matrix — for the thermal
-        backend, ``G - i D``.
+        Square symmetric positive definite matrix or operator — for
+        the ``mg`` backend, ``S + G - i D`` applied matrix-free.
     rhs:
         Length-``n`` vector or ``(n, k)`` block of ``k`` independent
-        right-hand sides (each solved by its own Krylov run; the
+        right-hand sides (each solved by its own CG run; the
         preconditioner is shared).
     preconditioner:
         ``None``, a :class:`LinearOperator`, an object exposing
-        ``solve`` (``splu`` result), or a callable ``v -> M^{-1} v``.
-    method:
-        One of :data:`KRYLOV_METHODS`.
+        ``solve``, or a symmetric callable ``v -> M^{-1} v``.
     rtol:
         Relative residual target, verified against the *true* residual.
     maxiter:
-        Outer-iteration budget per right-hand side.
-    restart:
-        GMRES restart length (ignored by BiCGSTAB).
+        Iteration budget per right-hand side.
 
     Returns
     -------
@@ -153,10 +123,6 @@ def krylov_solve(
         :class:`KrylovReport`.  Convergence failure is *reported*, not
         raised — callers decide whether to fall back to a direct solve.
     """
-    if method not in KRYLOV_METHODS:
-        raise ValueError(
-            "method must be one of {}, got {!r}".format(KRYLOV_METHODS, method)
-        )
     rhs = np.asarray(rhs, dtype=float)
     single = rhs.ndim == 1
     columns = rhs.reshape(rhs.shape[0], -1)
@@ -176,19 +142,27 @@ def krylov_solve(
             x[:, j] = 0.0
             continue
         counter = [0]
-        xj = _run_method(
-            method, matrix, b, m_op, rtol, maxiter, restart, counter
-        )
-        iterations += counter[0]
+        xj = _run_cg(matrix, b, m_op, rtol, maxiter, counter)
         residual = float(np.linalg.norm(b - matrix @ xj)) / b_norm
+        if residual > rtol and counter[0] < maxiter:
+            # CG stopped on its recurrence residual, which rounding let
+            # drift just below the target while the true one is not:
+            # restart from the iterate on the remaining budget.
+            xj = _run_cg(
+                matrix, b, m_op, rtol, maxiter - counter[0], counter, x0=xj
+            )
+            residual = float(np.linalg.norm(b - matrix @ xj)) / b_norm
+        iterations += counter[0]
         worst_residual = max(worst_residual, residual)
-        if not np.isfinite(residual) or residual > rtol:
+        # On an SPD operator b'x = b'A^{-1}b > 0; a non-positive value
+        # certifies the operator is indefinite (for ``G - i D``: a
+        # current past lambda_m), where CG's iterate means nothing.
+        if not np.isfinite(residual) or residual > rtol or not b @ xj > 0.0:
             converged = False
         x[:, j] = xj
     report = KrylovReport(
         converged=converged,
         iterations=iterations,
         residual=worst_residual,
-        method=method,
     )
     return (x[:, 0] if single else x), report

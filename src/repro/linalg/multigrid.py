@@ -5,7 +5,7 @@ layered tile lattice: a handful of conduction layers (die, TIM/TEC,
 spreader, sink), each dissected into the same ``rows x cols`` tile
 grid, coupled laterally inside a layer and vertically between facing
 tiles, plus a few lumped periphery nodes.  Every assembled-matrix
-backend (direct/reuse/krylov/cholesky) pays sparse-factorization fill
+backend (direct/reuse) pays sparse-factorization fill
 that grows superlinearly in the node count; on this structured problem
 class a geometric multigrid preconditioner gives O(n) work *and* O(n)
 memory, which is what makes 256x256-and-beyond chiplet-scale grids

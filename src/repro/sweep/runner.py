@@ -80,7 +80,9 @@ _POOL_COST_THRESHOLD = 10_000
 
 def _estimate_cost(scenario):
     """Tiles x task weight — the IPC-amortization cost proxy."""
-    if scenario.rows and scenario.cols:
+    if scenario.chiplets:
+        tiles = sum(rows * cols for rows, cols, *_ in scenario.chiplets)
+    elif scenario.rows and scenario.cols:
         tiles = int(scenario.rows) * int(scenario.cols)
     else:
         tiles = _DEFAULT_TILES

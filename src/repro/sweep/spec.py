@@ -121,7 +121,7 @@ class Scenario:
     backend:
         Solver backend for the instance — one of
         :data:`~repro.thermal.solve.SOLVER_MODES` (``"direct"``,
-        ``"reuse"``, ``"krylov"``, ``"cholesky"``, ``"auto"``), or
+        ``"reuse"``, ``"mg"``, ``"auto"``), or
         None for the problem default (``"reuse"``).  Lets one sweep
         compare backends per scenario.
     """
@@ -434,7 +434,7 @@ class SweepSpec:
         The general many-scenario workload of the ROADMAP: every
         combination becomes one ``solve`` scenario.  ``backends``
         defaults to the single problem-default backend; pass e.g.
-        ``("reuse", "krylov")`` to compare solver backends scenario by
+        ``("reuse", "mg")`` to compare solver backends scenario by
         scenario in one sweep.
         """
         backends = tuple(backends)

@@ -139,7 +139,7 @@ class PackageThermalModel:
         Engine knobs forwarded to
         :class:`~repro.thermal.solve.SteadyStateSolver` — any of
         :data:`~repro.thermal.solve.SOLVER_MODES` (``"direct"``,
-        ``"reuse"``, ``"krylov"``, ``"auto"``).
+        ``"reuse"``, ``"mg"``, ``"auto"``).
     solver_stats:
         Optional shared :class:`~repro.thermal.solve.SolverStats` that
         build and solve instrumentation is reported into.
@@ -674,15 +674,15 @@ class PackageThermalModel:
         ``math.inf`` when no TEC is deployed (``D = 0``).  ``kwargs``
         go to the method (``return_vector=True`` makes the eigen
         kernel return a ``(result, vector)`` pair).  On the ``reuse``
-        and ``krylov`` backends the eigen kernel applies ``G^{-1}``
-        through the steady solver's base factorization, which those
-        backends build for their own solves anyway; the other
-        backends leave the kernel one sparse LU of its own.
+        backend the eigen kernel applies ``G^{-1}`` through the steady
+        solver's base factorization, which that backend builds for its
+        own solves anyway; the other backends leave the kernel one
+        sparse LU of its own.
         """
         if (
             method == "eigen"
             and self.stamps
-            and self.solver.effective_mode in ("reuse", "krylov")
+            and self.solver.effective_mode == "reuse"
         ):
             kwargs.setdefault("solve", self.solver.base_factorization().solve)
         return _runaway_current(

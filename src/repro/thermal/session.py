@@ -11,19 +11,27 @@ backward-Euler transient systems) and ``D_x`` a Peltier diagonal —
 either the shared-current form ``i D`` of Equation (4) or an arbitrary
 per-device diagonal (the multi-pin generalization).  A
 :class:`SolveSession` owns one assembled system together with the
-solver mode, the Krylov knobs and the :class:`SolverStats`
+solver mode, the mg residual target and the :class:`SolverStats`
 instrumentation, and hands out one :class:`SessionView` per distinct
 diagonal shift ``S``.  Each view carries the full factorization
-machinery of the engine:
+machinery of the engine, three backends over one kernel:
 
-* a true-LRU cache of sparse LU factors keyed on *(shift, current)* —
-  the shift selects the view, the exact float current the entry;
-* the blocked-Woodbury ``reuse`` backend (one sparse LU of ``S + G``
-  per view, dense capacitance factorizations per current);
-* the ``(S + G)``-preconditioned Krylov backend with automatic direct
+* ``direct``: a true-LRU cache of factors keyed on *(shift, current)*
+  — the shift selects the view, the exact float current the entry;
+* ``reuse``: blocked Woodbury (one factorization of ``S + G`` per
+  view, dense capacitance factorizations per current);
+* ``mg``: multigrid-preconditioned CG with an exact factorized
   fallback;
 * per-view solution caches and the arbitrary-diagonal solves of
   :meth:`SessionView.solve_diagonal`.
+
+``S + G - D_x`` is symmetric positive definite below the runaway
+current (Lemma 1, Theorem 1), so every sparse factorization the engine
+makes — per current, base, shifted, per-device diagonal and the mg
+fallback — is the SPD factorization of
+:func:`repro.linalg.cholesky.spd_factorize`, whose positive-pivot
+certificate turns an indefinite matrix into a typed
+:class:`SingularSystemError`.
 
 Consumers share sessions instead of carrying private ``splu`` calls:
 the steady solver *is* the session's zero-shift view
@@ -52,42 +60,44 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, splu
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import splu  # noqa: F401 — perfbench wraps it
 
 from repro.linalg.cholesky import NotPositiveDefiniteError, spd_factorize
-from repro.linalg.krylov import KRYLOV_METHODS, krylov_solve
+from repro.linalg.krylov import krylov_solve
 from repro.linalg.spd import cholesky_is_spd
 
 #: Engine modes accepted by :class:`SolveSession` (and by
-#: :class:`~repro.thermal.solve.SteadyStateSolver`).  ``cholesky``
-#: behaves exactly like ``direct`` (one factorization per current,
-#: LRU-cached) but factors the SPD matrix with
-#: :func:`repro.linalg.cholesky.spd_factorize` — CHOLMOD when
-#: scikit-sparse is installed, a symmetric-mode SuperLU otherwise.
-#: ``mg`` runs multigrid-preconditioned CG: one geometric hierarchy is
-#: built per view from the current-independent base ``S + G`` (see
+#: :class:`~repro.thermal.solve.SteadyStateSolver`).  ``direct`` keeps
+#: one SPD factorization per current (LRU-cached), ``reuse`` one of the
+#: base ``S + G`` plus dense Woodbury updates, and ``mg`` runs
+#: multigrid-preconditioned CG: one geometric hierarchy is built per
+#: view from the current-independent base ``S + G`` (see
 #: :mod:`repro.linalg.multigrid`) and the Peltier term ``- i D`` is
 #: applied as a matrix-free diagonal correction on the fine level, so
 #: every current, round and scenario reuses the same hierarchy.
-SOLVER_MODES = ("direct", "reuse", "krylov", "cholesky", "mg", "auto")
+#: ``auto`` picks one of the three per system (:func:`select_backend`).
+SOLVER_MODES = ("direct", "reuse", "mg", "auto")
 
 #: ``auto`` keeps the Woodbury ``reuse`` backend up to this support
 #: size regardless of the node count (the dense capacitance is trivial
 #: below it).
 AUTO_SUPPORT_FLOOR = 64
 
-#: ``auto`` switches to ``krylov`` once the Peltier support exceeds
+#: ``auto`` switches to ``direct`` once the Peltier support exceeds
 #: ``AUTO_SUPPORT_COEFF * sqrt(num_nodes)``: past that point the
-#: ``O((2m)^3)`` capacitance factorization outweighs the ~constant
-#: iteration count of the preconditioned Krylov solve.
+#: ``O((2m)^3)`` capacitance factorization and the ``n x 2m`` influence
+#: block outweigh one sparse factorization per current.
 AUTO_SUPPORT_COEFF = 4.0
 
 #: ``auto`` switches to the geometric-multigrid backend once the
 #: system reaches this node count, regardless of support: past it the
 #: assembled factorizations' superlinear fill (memory *and* time)
-#: loses to the O(n) hierarchy — the 128x128 package (~66k nodes)
-#: stays on the factorized backends, 256x256 (~262k nodes) goes mg.
-MG_NODE_CROSSOVER = 150_000
+#: loses to the O(n) hierarchy.  Set between the committed
+#: ``BENCH_backends.json`` columns: the 64x64 package (18 444 nodes)
+#: factors faster than mg builds and solves, the 128x128 package
+#: (65 804 nodes) already solves ~1.8x faster with mg.
+MG_NODE_CROSSOVER = 40_000
 
 #: Relative threshold below which the Woodbury capacitance is treated
 #: as singular (current at/beyond the runaway limit ``lambda_m``).
@@ -111,22 +121,21 @@ _CAP_REFINE_MAX_ITERATIONS = 15
 
 
 def select_backend(num_nodes, support_size):
-    """The ``auto`` heuristic: ``"reuse"``, ``"krylov"`` or ``"mg"``.
+    """The ``auto`` heuristic: ``"reuse"``, ``"direct"`` or ``"mg"``.
 
     Chooses the blocked-Woodbury ``reuse`` backend while the Peltier
     support (``2 m`` for ``m`` deployed TECs) is small — at most
     ``max(AUTO_SUPPORT_FLOOR, AUTO_SUPPORT_COEFF * sqrt(n))`` — and
-    the G-preconditioned ``krylov`` backend beyond, where the dense
+    the per-current ``direct`` factorization beyond, where the dense
     ``support x support`` capacitance factorization would dominate.
     From :data:`MG_NODE_CROSSOVER` nodes on, every assembled
-    factorization (including the krylov backend's base LU
-    preconditioner) is superlinear in fill, so the choice flips to the
+    factorization is superlinear in fill, so the choice flips to the
     matrix-free ``mg`` backend independent of support.
     """
     if num_nodes >= MG_NODE_CROSSOVER:
         return "mg"
     limit = max(AUTO_SUPPORT_FLOOR, AUTO_SUPPORT_COEFF * math.sqrt(num_nodes))
-    return "reuse" if support_size <= limit else "krylov"
+    return "reuse" if support_size <= limit else "direct"
 
 
 class SingularSystemError(RuntimeError):
@@ -148,7 +157,7 @@ class SolverStats:
     Attributes
     ----------
     factorizations:
-        Sparse LU factorizations performed (``splu`` calls).
+        Sparse SPD factorizations performed (``spd_factorize`` calls).
     cap_factorizations:
         Dense Woodbury capacitance-matrix factorizations (reuse mode;
         ``2m x 2m``, orders of magnitude cheaper than a sparse LU).
@@ -166,12 +175,6 @@ class SolverStats:
     solution_hits:
         ``solve`` calls answered from the per-current solution cache
         without any triangular solve.
-    krylov_solves / krylov_iterations:
-        Iterative (krylov-backend) solve calls and their total matrix
-        applications.
-    krylov_fallbacks:
-        Krylov solves whose residual missed the target and fell back
-        to a direct per-current LU.
     mg_hierarchies:
         Multigrid hierarchies built (``mg`` backend; one per view and
         process — the acceptance tests assert a multi-current solve
@@ -181,7 +184,7 @@ class SolverStats:
         spent (one V-cycle per preconditioned CG iteration).
     mg_fallbacks:
         ``mg`` solves whose residual missed the target and fell back
-        to a direct per-current LU.
+        to an exact per-current factorization.
     factor_time_s / solve_time_s:
         Cumulative wall time in factorization and in solves.
     full_builds / incremental_builds:
@@ -201,9 +204,6 @@ class SolverStats:
     solves: int = 0
     rhs_columns: int = 0
     solution_hits: int = 0
-    krylov_solves: int = 0
-    krylov_iterations: int = 0
-    krylov_fallbacks: int = 0
     mg_hierarchies: int = 0
     mg_solves: int = 0
     mg_cycles: int = 0
@@ -259,10 +259,6 @@ class SolverStats:
                 self.incremental_builds,
             )
         )
-        if self.krylov_solves:
-            line += ", krylov {} solves / {} iters / {} fallbacks".format(
-                self.krylov_solves, self.krylov_iterations, self.krylov_fallbacks
-            )
         if self.mg_solves or self.mg_hierarchies:
             line += ", mg {} hierarchies / {} solves / {} cycles / {} fallbacks".format(
                 self.mg_hierarchies, self.mg_solves, self.mg_cycles,
@@ -380,7 +376,7 @@ class SessionView:
         self._cache_size = cache_size
         self._lu_cache = OrderedDict()
         self._solution_cache = OrderedDict()
-        # Reuse/krylov shared state, built lazily on first solve.
+        # Reuse shared state, built lazily on first solve.
         self._base_lu = None
         self._support = None
         self._d_support = None
@@ -406,10 +402,8 @@ class SessionView:
         # diagonal correction.  The integer aggregation plan is pushed
         # up to the session so sibling views skip re-aggregation.
         self._mg = None
-        self._krylov_method = session.krylov_method
         self._krylov_rtol = session.krylov_rtol
         self._krylov_maxiter = session.krylov_maxiter
-        self._krylov_restart = session.krylov_restart
 
     def __getstate__(self):
         """Pickle support: drop live factorization handles.
@@ -421,8 +415,8 @@ class SessionView:
         derived from a factorization — LU caches, the Woodbury
         influence block, solution caches, shifted-matrix scratch — is
         dropped here and rebuilt lazily on first solve in the new
-        process.  Plain state (shift vector, cache capacity, Krylov
-        knobs, the shared stats object) survives the round trip, so an
+        process.  Plain state (shift vector, cache capacity, mg CG
+        target, the shared stats object) survives the round trip, so an
         unpickled view answers bit-identical solves; pinned by
         ``tests/thermal/test_session.py::TestForkSafety``.
         """
@@ -460,7 +454,7 @@ class SessionView:
         """The backend actually answering solves.
 
         Equal to :attr:`mode` except under ``"auto"``, where the
-        choice between ``"reuse"`` and ``"krylov"`` is made once per
+        choice among ``"reuse"``, ``"direct"`` and ``"mg"`` is made once per
         assembled system by :func:`select_backend` (support size vs
         node count) and shared by every view of the session.
         """
@@ -521,27 +515,23 @@ class SessionView:
         cache[key] = entry
 
     # ------------------------------------------------------------------
-    # Direct mode: one sparse LU per current
+    # Direct mode: one SPD factorization per current
     # ------------------------------------------------------------------
 
     def _splu(self, matrix, label):
-        """Factor a sparse system matrix through the mode's kernel.
+        """Factor a sparse system matrix with :func:`spd_factorize`.
 
         The single factorization seam of the engine: per-current
         matrices, the shared base matrix and arbitrary-diagonal
-        matrices all pass through here.  ``cholesky`` mode swaps the
-        general sparse LU for the SPD factorization of
-        :func:`repro.linalg.cholesky.spd_factorize`; an indefinite
-        matrix (current at/beyond ``lambda_m``) surfaces as the same
-        :class:`SingularSystemError` the other backends raise.
+        matrices of every backend all pass through here.  An
+        indefinite matrix (current at/beyond ``lambda_m``) fails the
+        factorization's positive-pivot certificate and surfaces as
+        :class:`SingularSystemError`.
         """
         start = time.perf_counter()
         try:
-            if self.effective_mode == "cholesky":
-                lu = spd_factorize(matrix.tocsc())
-            else:
-                lu = splu(matrix.tocsc())
-        except (RuntimeError, NotPositiveDefiniteError) as error:
+            lu = spd_factorize(matrix)
+        except NotPositiveDefiniteError as error:
             raise SingularSystemError(
                 "system matrix singular at {} (at/beyond runaway)".format(label)
             ) from error
@@ -551,7 +541,7 @@ class SessionView:
         return lu
 
     def _factorization(self, current):
-        """The per-current LU, LRU-cached on the exact float ``current``
+        """The per-current factor, LRU-cached on the exact float ``current``
         (no quantization — see the module docstring)."""
         current = float(current)
         lu = self._cache_get(self._lu_cache, current)
@@ -581,7 +571,7 @@ class SessionView:
     # ------------------------------------------------------------------
 
     def _base_factorization(self):
-        """The shared sparse LU of ``S + G`` (reuse preconditioner too)."""
+        """The shared factorization of ``S + G`` (reuse backend)."""
         if self._base_lu is None:
             self._base_lu = self._splu(self._base_matrix(), "i = 0.0 A")
             support = np.flatnonzero(self.system.d_diagonal)
@@ -592,7 +582,7 @@ class SessionView:
     def base_factorization(self):
         """The base factorization of ``S + G`` (public accessor).
 
-        Builds it on first call (reuse/krylov machinery).  The returned
+        Builds it on first call (reuse machinery).  The returned
         object answers ``.solve(rhs)`` for 1-D or ``(n, k)`` right-hand
         sides; the incremental deployment engine anchors its
         cross-round bordered solves on it.
@@ -607,7 +597,7 @@ class SessionView:
         :class:`~repro.thermal.border.BorderedDeployContext` view that
         expresses this round's ``G`` as a bordered low-rank update of
         an earlier round's factorization.  A reuse-mode round seeded
-        this way performs **zero** new sparse LU factorizations: the
+        this way performs **zero** new sparse factorizations: the
         influence block ``W``, the base power pair and every Woodbury
         correction ride the adopted solve.
 
@@ -636,10 +626,10 @@ class SessionView:
     def _ensure_influence(self):
         """Batch-solve the Woodbury influence block ``W = G^{-1} I_S``.
 
-        Deferred past :meth:`_base_factorization` so the krylov
-        backend — which shares the base LU but never forms ``W`` —
-        does not pay the ``O(n * 2m)`` memory and solve cost of the
-        dense influence block on dense deployments.
+        Deferred past :meth:`_base_factorization` so callers that
+        only need the base solve (the runaway kernel, a zero-current
+        solve) do not pay the ``O(n * 2m)`` memory and solve cost of
+        the dense influence block.
         """
         lu = self._base_factorization()
         if self._w is None and self._support.size:
@@ -791,38 +781,6 @@ class SessionView:
         return self._woodbury_correct(current, x)
 
     # ------------------------------------------------------------------
-    # Krylov mode: (S+G)-preconditioned GMRES/BiCGSTAB per current
-    # ------------------------------------------------------------------
-
-    def _apply_krylov(self, current, rhs):
-        lu = self._base_factorization()
-        if current == 0.0 or self._support.size == 0:
-            return self._timed_lu_solve(lu, rhs)
-        matrix = self._matrix(current)
-        start = time.perf_counter()
-        x, report = krylov_solve(
-            matrix,
-            rhs,
-            preconditioner=lu,
-            method=self._krylov_method,
-            rtol=self._krylov_rtol,
-            maxiter=self._krylov_maxiter,
-            restart=self._krylov_restart,
-        )
-        self.stats.solve_time_s += time.perf_counter() - start
-        self.stats.krylov_solves += 1
-        self.stats.krylov_iterations += report.iterations
-        if not report.converged:
-            # Residual missed the target (stagnation, near-runaway
-            # ill-conditioning, or an exhausted iteration budget):
-            # fall back to an exact per-current factorization so the
-            # iterative backend never degrades accuracy.
-            self.stats.krylov_fallbacks += 1
-            return self._apply_direct(current, rhs)
-        self.stats.rhs_columns += 1 if rhs.ndim == 1 else rhs.shape[1]
-        return x
-
-    # ------------------------------------------------------------------
     # Multigrid mode: hierarchy-preconditioned CG, matrix-free operator
     # ------------------------------------------------------------------
 
@@ -840,13 +798,11 @@ class SessionView:
         if self._mg is None:
             from repro.linalg.multigrid import MultigridHierarchy
 
-            options = dict(self.session.mg_options or {})
             start = time.perf_counter()
             self._mg = MultigridHierarchy(
                 self._base_matrix(),
                 geometry=getattr(self.system, "lattice", None),
                 plan=self.session._mg_plan,
-                **options,
             )
             self.stats.factor_time_s += time.perf_counter() - start
             self.stats.mg_hierarchies += 1
@@ -886,7 +842,6 @@ class SessionView:
             operator,
             rhs,
             preconditioner=hierarchy.precondition,
-            method="cg",
             rtol=self._krylov_rtol,
             maxiter=self._krylov_maxiter,
         )
@@ -894,10 +849,10 @@ class SessionView:
         self.stats.mg_solves += 1
         self.stats.mg_cycles += hierarchy.cycles - cycles_before
         if not report.converged:
-            # Same contract as the krylov backend: accuracy never
-            # degrades — stagnation (e.g. at/beyond runaway, where the
-            # operator loses definiteness and CG loses its footing)
-            # falls back to an exact per-current factorization.
+            # Accuracy never degrades: a missed residual target or a
+            # failed SPD certificate (at/beyond runaway the operator
+            # loses definiteness) falls back to an exact factorization,
+            # whose positive-pivot check then raises.
             self.stats.mg_fallbacks += 1
             return fallback()
         self.stats.rhs_columns += 1 if rhs.ndim == 1 else rhs.shape[1]
@@ -935,13 +890,11 @@ class SessionView:
         sides sharing one factorization / preconditioner).
         """
         mode = self.effective_mode
-        if mode in ("direct", "cholesky"):
-            return self._apply_direct(current, rhs)
         if mode == "reuse":
             return self._apply_reuse(current, rhs)
         if mode == "mg":
             return self._apply_mg(current, rhs)
-        return self._apply_krylov(current, rhs)
+        return self._apply_direct(current, rhs)
 
     # ------------------------------------------------------------------
     # Public solves
@@ -1180,14 +1133,12 @@ class SessionView:
         mode = self.effective_mode
         if mode == "mg":
             # The zero diagonal routes through mg too: the hierarchy
-            # *is* this view's base solver, so no base LU is built.
+            # *is* this view's base solver, so no base factorization is built.
             return self._diag_mg(d if np.any(d) else None, rhs)
         if not np.any(d):
             return self._timed_lu_solve(self._base_factorization(), rhs)
         if mode == "reuse":
             return self._diag_reuse(d, rhs)
-        if mode == "krylov":
-            return self._diag_krylov(d, rhs)
         return self._diag_direct(d, rhs)
 
     def _diag_direct(self, d, rhs):
@@ -1228,28 +1179,6 @@ class SessionView:
             factors, (d_support * x_support.T).T, check_finite=False
         )
         return x + self._w @ small
-
-    def _diag_krylov(self, d, rhs):
-        lu = self._base_factorization()
-        matrix = self._diagonal_matrix(d)
-        start = time.perf_counter()
-        x, report = krylov_solve(
-            matrix,
-            rhs,
-            preconditioner=lu,
-            method=self._krylov_method,
-            rtol=self._krylov_rtol,
-            maxiter=self._krylov_maxiter,
-            restart=self._krylov_restart,
-        )
-        self.stats.solve_time_s += time.perf_counter() - start
-        self.stats.krylov_solves += 1
-        self.stats.krylov_iterations += report.iterations
-        if not report.converged:
-            self.stats.krylov_fallbacks += 1
-            return self._diag_direct(d, rhs)
-        self.stats.rhs_columns += 1 if rhs.ndim == 1 else rhs.shape[1]
-        return x
 
     def influence_rows(self, current, node_indices):
         """Rows of ``H = (S + G - i D)^{-1}`` for the given nodes.
@@ -1300,11 +1229,9 @@ class SessionView:
 def _factor_bytes(factor):
     """12 bytes per stored factor nonzero (value + compressed index).
 
-    Both factor kinds the engine produces expose their fill: SuperLU
-    handles via ``.nnz`` (L + U nonzeros) and
-    :class:`~repro.linalg.cholesky.CholeskyFactor` via its ``nnz``
-    slot.  Adopted bordered solves (no ``nnz``) count zero — their
-    memory belongs to the donor round.
+    :class:`~repro.linalg.cholesky.CholeskyFactor` exposes its fill
+    (``L + U`` nonzeros) as ``nnz``.  Adopted bordered solves (no
+    ``nnz``) count zero — their memory belongs to the donor round.
     """
     nnz = getattr(factor, "nnz", None)
     return int(nnz) * 12 if nnz is not None else 0
@@ -1313,8 +1240,8 @@ def _factor_bytes(factor):
 class SolveSession:
     """Shared solve engine over one assembled system.
 
-    Owns the assembled system, the solver-mode resolution, the Krylov
-    knobs and the (optionally shared) :class:`SolverStats`, and hands
+    Owns the assembled system, the solver-mode resolution, the mg CG
+    target and the (optionally shared) :class:`SolverStats`, and hands
     out :class:`SessionView` objects per diagonal shift.  Views are
     cached on the exact bytes of the shift vector, so every consumer
     asking for the same ``C / dt`` diagonal shares one set of
@@ -1327,23 +1254,16 @@ class SolveSession:
         An :class:`~repro.thermal.assembly.AssembledSystem`.
     mode:
         One of :data:`SOLVER_MODES` — ``"direct"``, ``"reuse"``,
-        ``"krylov"``, or ``"auto"`` (resolved once per session by
+        ``"mg"``, or ``"auto"`` (resolved once per session by
         :func:`select_backend`; see :attr:`effective_mode`).
     cache_size:
         Default per-view LRU capacity (see :class:`SessionView`).
     stats:
         Optional shared :class:`SolverStats`; a private one is created
         when omitted.
-    krylov_method / krylov_rtol / krylov_maxiter / krylov_restart:
-        Knobs of the iterative backend.  The ``mg`` backend shares
-        ``krylov_rtol`` / ``krylov_maxiter`` for its preconditioned CG
-        outer iteration (``krylov_method`` / ``krylov_restart`` do not
-        apply — mg always runs CG).
-    mg_options:
-        Optional dict of :class:`~repro.linalg.multigrid.MultigridHierarchy`
-        build knobs (``coarse_size``, ``smoother``, ``sweeps``,
-        ``cycle_kind``, ...) forwarded verbatim when the ``mg`` backend
-        builds a view's hierarchy; ignored by the other modes.
+    krylov_rtol / krylov_maxiter:
+        Relative residual target and iteration budget of the ``mg``
+        backend's preconditioned CG (ignored by the other modes).
     """
 
     def __init__(
@@ -1353,11 +1273,8 @@ class SolveSession:
         mode="direct",
         cache_size=8,
         stats=None,
-        krylov_method="gmres",
         krylov_rtol=1.0e-10,
         krylov_maxiter=200,
-        krylov_restart=40,
-        mg_options=None,
     ):
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1, got {}".format(cache_size))
@@ -1365,21 +1282,12 @@ class SolveSession:
             raise ValueError(
                 "mode must be one of {}, got {!r}".format(SOLVER_MODES, mode)
             )
-        if krylov_method not in KRYLOV_METHODS:
-            raise ValueError(
-                "krylov_method must be one of {}, got {!r}".format(
-                    KRYLOV_METHODS, krylov_method
-                )
-            )
         self.system = system
         self.mode = mode
         self.stats = stats if stats is not None else SolverStats()
         self.cache_size = cache_size
-        self.krylov_method = krylov_method
         self.krylov_rtol = float(krylov_rtol)
         self.krylov_maxiter = int(krylov_maxiter)
-        self.krylov_restart = int(krylov_restart)
-        self.mg_options = dict(mg_options) if mg_options else None
         self._resolved_mode = None
         self._views = {}
         # Aggregation plan shared across this session's hierarchies
@@ -1462,7 +1370,7 @@ class SolveSession:
     def cache_info(self):
         """Aggregate cache occupancy across every view (plain data).
 
-        Counts live entries, not capacity: sparse LU factors
+        Counts live entries, not capacity: sparse factors
         (``direct`` mode and the per-view base factorization), dense
         Woodbury capacitance factors, cached solution vectors, and
         arbitrary-diagonal entries.  Serve-pool eviction decisions and

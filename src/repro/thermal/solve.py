@@ -1,13 +1,19 @@
 """Steady-state nodal analysis (Section IV.C) on the solve-session core.
 
 Solves ``(G - i D) theta = p(i)`` through the pluggable backend layer
-of :mod:`repro.thermal.session`.  Six modes are accepted by
+of :mod:`repro.thermal.session`.  Four modes are accepted by
 :class:`SteadyStateSolver` (and by everything that forwards to it —
-``CoolingSystemProblem``, sweep scenarios, the CLI ``--backend`` flag):
+``CoolingSystemProblem``, sweep scenarios, the CLI ``--backend`` flag).
+Every sparse factorization the three backends make is the SPD
+factorization of :func:`repro.linalg.cholesky.spd_factorize`
+(symmetric-mode SuperLU, MMD ordering on ``A + A'``, no off-diagonal
+pivoting): ``G - i D`` is positive definite for every ``i < lambda_m``
+(Theorem 1), and a non-positive pivot certifies the current is at or
+beyond runaway, raised as :class:`SingularSystemError`.
 
 ``mode="direct"``
-    One sparse LU per distinct current, kept in a true-LRU cache.  The
-    seed behaviour; cost ``O(LU(n))`` per *distinct* current.
+    One sparse SPD factorization per distinct current, kept in a
+    true-LRU cache.  Cost ``O(factor(n))`` per *distinct* current.
 
 ``mode="reuse"``
     Blocked Woodbury factorization reuse.  ``D`` is diagonal and only
@@ -30,30 +36,6 @@ of :mod:`repro.thermal.session`.  Six modes are accepted by
     capacitance blows up quadratically-to-cubically as deployments
     densify.
 
-``mode="krylov"``
-    G-preconditioned iterative solves
-    (:func:`repro.linalg.krylov.krylov_solve`).  The cached base-``G``
-    sparse LU preconditions GMRES (or BiCGSTAB) on ``G - i D``; the
-    preconditioned operator is ``I - i G^{-1} D``, whose spectrum
-    clusters at 1 with a spread shrinking in the runaway margin, so a
-    handful of iterations suffice per current *independent of the
-    deployment density*.  Per current: ``k`` triangular solves plus
-    ``k`` sparse mat-vecs (``k`` ~ 5-30), no dense capacitance at
-    all.  A residual above the target triggers an automatic fallback
-    to the direct per-current LU (counted in
-    ``SolverStats.krylov_fallbacks``), so krylov never silently
-    degrades accuracy.
-
-``mode="cholesky"``
-    Like ``direct`` — one factorization per distinct current, kept in
-    the same LRU cache — but the SPD matrix ``G - i D`` is factored
-    through :func:`repro.linalg.cholesky.spd_factorize`: CHOLMOD's
-    supernodal sparse Cholesky when scikit-sparse is importable, a
-    symmetric-mode pivot-free SuperLU with a positive-pivot check
-    otherwise.  Half the flops/fill of a general LU on large grids;
-    an indefinite matrix (current at/beyond ``lambda_m``) raises the
-    same :class:`SingularSystemError`.
-
 ``mode="mg"``
     Geometric-multigrid preconditioned CG
     (:mod:`repro.linalg.multigrid`).  One aggregation hierarchy is
@@ -66,16 +48,16 @@ of :mod:`repro.thermal.session`.  Six modes are accepted by
     round and scenario shares one hierarchy (``SolverStats.mg_*``
     counts builds, solves, cycles and fallbacks).  O(n) work *and*
     memory: no assembled factorization above the coarsest level, which
-    is what makes >= 256x256 chiplet-scale grids tractable.  Same
-    never-degrade contract as ``krylov`` — a missed residual target
-    falls back to an exact per-current factorization.
+    is what makes >= 256x256 chiplet-scale grids tractable.  A missed
+    residual target falls back to an exact per-current factorization,
+    so mg never silently degrades accuracy.
 
 ``mode="auto"``
-    Pick ``reuse``, ``krylov`` or ``mg`` per assembled system
+    Pick ``reuse``, ``direct`` or ``mg`` per assembled system
     (:func:`select_backend`): small supports keep the dense Woodbury
-    update, dense deployments on fine grids switch to the iterative
-    backend, and grids at/past ``MG_NODE_CROSSOVER`` nodes go
-    multigrid regardless of support.
+    update, dense deployments switch to one factorization per current,
+    and grids at/past ``MG_NODE_CROSSOVER`` nodes go multigrid
+    regardless of support.
 
 Per-current caches key on the **exact float value** of the current
 (``float(i)`` equality — no quantization).  Golden-section probes at
@@ -145,29 +127,22 @@ class SteadyStateSolver(SessionView):
     system:
         An :class:`~repro.thermal.assembly.AssembledSystem`.
     cache_size:
-        Number of per-current cache entries kept (true LRU): LU
+        Number of per-current cache entries kept (true LRU): sparse
         factorizations in ``direct`` mode, dense capacitance
         factorizations in ``reuse`` mode, and solved temperature
         vectors in both.  Keys are exact float currents — see the
         module docstring.
     mode:
         One of :data:`SOLVER_MODES` — ``"direct"``, ``"reuse"``,
-        ``"krylov"``, or ``"auto"`` (resolved per system by
+        ``"mg"``, or ``"auto"`` (resolved per system by
         :func:`select_backend`; see
         :attr:`~repro.thermal.session.SessionView.effective_mode`).
     stats:
         Optional shared :class:`SolverStats`; a private one is created
         when omitted.
-    krylov_method / krylov_rtol / krylov_maxiter / krylov_restart:
-        Knobs of the iterative backend (ignored by the other modes):
-        method (``"gmres"`` or ``"bicgstab"``), relative residual
-        target, outer-iteration budget per right-hand side, and GMRES
-        restart length.  The ``mg`` backend shares the residual target
-        and iteration budget for its preconditioned CG.
-    mg_options:
-        Optional dict of multigrid build knobs forwarded to
-        :class:`~repro.linalg.multigrid.MultigridHierarchy` by the
-        ``mg`` backend (ignored by the other modes).
+    krylov_rtol / krylov_maxiter:
+        Relative residual target and iteration budget of the ``mg``
+        backend's preconditioned CG (ignored by the other modes).
     """
 
     def __init__(
@@ -177,22 +152,16 @@ class SteadyStateSolver(SessionView):
         *,
         mode="direct",
         stats=None,
-        krylov_method="gmres",
         krylov_rtol=1.0e-10,
         krylov_maxiter=200,
-        krylov_restart=40,
-        mg_options=None,
     ):
         session = SolveSession(
             system,
             mode=mode,
             cache_size=cache_size,
             stats=stats,
-            krylov_method=krylov_method,
             krylov_rtol=krylov_rtol,
             krylov_maxiter=krylov_maxiter,
-            krylov_restart=krylov_restart,
-            mg_options=mg_options,
         )
         super().__init__(session, None, cache_size)
         session._views[None] = self

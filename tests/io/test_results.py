@@ -134,7 +134,7 @@ class TestSweepReportJson:
 
 class TestBenchReport:
     _ENTRIES = [
-        {"grid": "8x8", "backend": "krylov", "wall_s": 0.01},
+        {"grid": "8x8", "backend": "mg", "wall_s": 0.01},
         {"grid": "8x8", "backend": "reuse", "wall_s": 0.02},
     ]
 

@@ -283,7 +283,7 @@ class TestDefaultBackend:
     """``ServeConfig.default_backend`` fills unset request backends.
 
     The default participates in the warm-pool blueprint key (a request
-    answered by a krylov session must never share a pool entry with a
+    answered by a direct session must never share a pool entry with a
     reuse one), and an explicit per-request ``backend`` always wins
     over the server default.
     """
@@ -295,13 +295,25 @@ class TestDefaultBackend:
 
         with pytest.raises(ValueError, match="default_backend"):
             ServeConfig(default_backend="jacobi")
+        with pytest.raises(ValueError, match="'direct', 'reuse', 'mg'"):
+            ServeConfig(default_backend="cholesky")
+
+    def test_retired_request_backend_is_a_400(self):
+        """Backends that are no longer solver modes are schema errors
+        naming the valid modes, never a 500 from inside the solve."""
+        for retired in ("krylov", "cholesky"):
+            status, body = with_app(
+                scenario_with(small_solve_body(), backend=retired)
+            )
+            assert status == 400
+            assert "'direct', 'reuse', 'mg', 'auto'" in body["error"]
 
     def test_stats_expose_the_default(self):
         async def scenario(app):
             return await asgi_request(app, "GET", "/stats")
 
-        _, stats = with_app(scenario, default_backend="cholesky")
-        assert stats["config"]["default_backend"] == "cholesky"
+        _, stats = with_app(scenario, default_backend="direct")
+        assert stats["config"]["default_backend"] == "direct"
 
     def test_default_backend_enters_the_pool_key(self):
         body = small_solve_body()
@@ -309,9 +321,9 @@ class TestDefaultBackend:
         async def scenario(app):
             return await asgi_request(app, "POST", "/solve", body)
 
-        _, defaulted = with_app(scenario, default_backend="krylov")
+        _, defaulted = with_app(scenario, default_backend="direct")
         _, explicit = with_app(
-            scenario_with(body, backend="krylov"), default_backend=None
+            scenario_with(body, backend="direct"), default_backend=None
         )
         _, plain = with_app(scenario, default_backend=None)
         assert defaulted["pool_key"] == explicit["pool_key"]
@@ -323,7 +335,7 @@ class TestDefaultBackend:
                 app, "POST", "/solve", small_solve_body(backend="reuse")
             )
 
-        _, explicit = with_app(scenario, default_backend="krylov")
+        _, explicit = with_app(scenario, default_backend="mg")
         _, plain_reuse = with_app(scenario, default_backend=None)
         assert explicit["pool_key"] == plain_reuse["pool_key"]
 
@@ -335,10 +347,10 @@ class TestDefaultBackend:
 
         async def explicit(app):
             return await asgi_request(
-                app, "POST", "/solve", small_solve_body(backend="cholesky")
+                app, "POST", "/solve", small_solve_body(backend="direct")
             )
 
-        _, a = with_app(defaulted, default_backend="cholesky")
+        _, a = with_app(defaulted, default_backend="direct")
         _, b = with_app(explicit)
         assert a["results"][0]["values"] == b["results"][0]["values"]
 

@@ -187,7 +187,7 @@ class TestBlueprintKey:
     @pytest.mark.parametrize("overrides", [
         {"power_scale": 1.1},
         {"seebeck_factor": 0.5},
-        {"backend": "krylov"},
+        {"backend": "direct"},
         {"limit_c": 80.0},
         {"benchmark": "hc01"},
     ])

@@ -348,6 +348,28 @@ class TestBackendDegradation:
         assert backend == "process"
         assert reason == "inferred"
 
+    def test_chiplet_scenarios_cost_their_own_tiles(self):
+        import unittest.mock
+
+        from repro.sweep import runner as runner_mod
+
+        # Two chiplets of 64x64 and 32x32 tiles: 5120 tiles * 2 per
+        # solve clears the threshold the 256-tile default would miss.
+        scenario = Scenario(
+            name="c", task="solve",
+            chiplets=((64, 64, 0, 0, 10.0), (32, 32, 0, 72, 5.0)),
+            tec_tiles=(0,), current_a=0.1,
+        )
+        assert runner_mod._estimate_cost(scenario) == (64 * 64 + 32 * 32) * 2
+        with unittest.mock.patch.object(
+            runner_mod.os, "cpu_count", return_value=8
+        ):
+            backend, reason = SweepRunner(2)._resolve_backend(
+                SweepSpec(scenarios=[scenario], name="package")
+            )
+        assert backend == "process"
+        assert reason == "inferred"
+
     def test_forced_process_backend_never_degrades(self):
         backend, reason = SweepRunner(
             2, backend="process"
@@ -508,27 +530,27 @@ class TestScenarioSolverBackends:
         sweep_worker.clear_caches()
         scenario = Scenario(
             name="k", task="solve", rows=4, cols=4, power_map=_HOTSPOT,
-            tec_tiles=(5, 6, 9, 10), current_a=0.4, backend="krylov",
+            tec_tiles=(5, 6, 9, 10), current_a=0.4, backend="direct",
         )
         problem = sweep_worker.problem_for(scenario)
-        assert problem.solver_mode == "krylov"
+        assert problem.solver_mode == "direct"
 
     def test_backends_never_share_problems(self):
         """Two scenarios differing only in backend must get distinct
-        problem instances — a warm cache must not answer a krylov
+        problem instances — a warm cache must not answer a direct
         scenario with a reuse solver."""
         sweep_worker.clear_caches()
         base = dict(task="solve", rows=4, cols=4, power_map=_HOTSPOT,
                     tec_tiles=(5, 6, 9, 10), current_a=0.4)
         reuse = sweep_worker.problem_for(Scenario(name="r", backend="reuse", **base))
         reuse.model((5, 6))  # record the geometry's network blueprint
-        krylov = sweep_worker.problem_for(Scenario(name="k", backend="krylov", **base))
-        assert reuse is not krylov
+        direct = sweep_worker.problem_for(Scenario(name="d", backend="direct", **base))
+        assert reuse is not direct
         assert reuse.solver_mode == "reuse"
-        assert krylov.solver_mode == "krylov"
+        assert direct.solver_mode == "direct"
         # ... while still sharing the recorded network blueprint
-        assert krylov._blueprint is not None
-        assert krylov._blueprint is reuse._blueprint
+        assert direct._blueprint is not None
+        assert direct._blueprint is reuse._blueprint
 
     def test_backends_agree_in_a_sweep(self):
         sweep_worker.clear_caches()
@@ -538,7 +560,7 @@ class TestScenarioSolverBackends:
                 task="solve", rows=4, cols=4, power_map=_HOTSPOT,
                 tec_tiles=(5, 6, 9, 10), current_a=0.4, backend=backend,
             )
-            for backend in (None, "direct", "reuse", "krylov", "auto")
+            for backend in (None, "direct", "reuse", "mg", "auto")
         ]
         report = run_sweep(SweepSpec(scenarios=scenarios, name="backends"))
         assert report.ok

@@ -64,13 +64,18 @@ class TestScenarioValidation:
     def test_backend_defaults_to_none(self):
         assert _explicit().backend is None
 
-    @pytest.mark.parametrize("backend", ["direct", "reuse", "krylov", "auto"])
+    @pytest.mark.parametrize("backend", ["direct", "reuse", "mg", "auto"])
     def test_valid_backends_accepted(self, backend):
         assert _explicit(backend=backend).backend == backend
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             _explicit(backend="jacobi")
+
+    @pytest.mark.parametrize("backend", ["krylov", "cholesky"])
+    def test_retired_backends_rejected(self, backend):
+        with pytest.raises(ValueError, match="'direct', 'reuse', 'mg', 'auto'"):
+            _explicit(backend=backend)
 
     def test_engine_defaults_to_none(self):
         assert _explicit().engine is None
@@ -291,17 +296,17 @@ class TestBuilders:
     def test_solve_grid_backends_axis(self):
         spec = SweepSpec.solve_grid(
             ["alpha"], [("a", (0,))], [0.5],
-            backends=("reuse", "krylov"),
+            backends=("reuse", "direct"),
         )
         assert len(spec) == 2
-        assert [s.backend for s in spec] == ["reuse", "krylov"]
+        assert [s.backend for s in spec] == ["reuse", "direct"]
         # backend names must keep scenario names unique
         assert len({s.name for s in spec}) == 2
 
     def test_with_backend_pins_every_scenario(self):
         spec = SweepSpec.power_scaling("alpha", factors=(0.9, 1.1))
-        pinned = spec.with_backend("krylov")
-        assert all(s.backend == "krylov" for s in pinned)
+        pinned = spec.with_backend("direct")
+        assert all(s.backend == "direct" for s in pinned)
         assert all(s.backend is None for s in spec)  # original untouched
 
     def test_with_backend_validates(self):

@@ -80,12 +80,12 @@ class TestSolve:
 
 class TestSolveBackend:
     @pytest.mark.parametrize("flag", ["--backend", "--solver-mode"])
-    def test_krylov_backend_accepted(self, capsys, flag):
-        assert main(["solve", "--benchmark", "hc08", flag, "krylov",
+    def test_mg_backend_accepted(self, capsys, flag):
+        assert main(["solve", "--benchmark", "hc08", flag, "mg",
                      "--solver-stats"]) == 0
         out = capsys.readouterr().out
         assert "feasible:     True" in out
-        assert "krylov backend" in out
+        assert "mg backend" in out
 
     def test_auto_backend_accepted(self, capsys):
         assert main(["solve", "--benchmark", "hc08", "--backend", "auto"]) == 0
@@ -337,7 +337,7 @@ class TestSweepBackend:
         report_path = tmp_path / "report.json"
         code = main([
             "sweep", "--benchmark", "hc08", "--power-scales", "1.0",
-            "--backend", "krylov", "--sweep-report", str(report_path),
+            "--backend", "direct", "--sweep-report", str(report_path),
         ])
         assert code == 0
         from repro.io.results import sweep_report_from_json
@@ -380,9 +380,19 @@ class TestBackendValidation:
         assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(_COMMANDS))
-    @pytest.mark.parametrize(
-        "backend", ["direct", "reuse", "krylov", "cholesky", "auto"]
-    )
+    @pytest.mark.parametrize("backend", ["krylov", "cholesky"])
+    def test_retired_backends_rejected_at_parse_time(
+        self, capsys, command, backend
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--backend", backend])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "'direct', 'reuse', 'mg', 'auto'" in err
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @pytest.mark.parametrize("backend", ["direct", "reuse", "mg", "auto"])
     def test_every_solver_mode_parses(self, command, backend):
         argv = [command, "--backend", backend] + self._COMMANDS[command]
         args = build_parser().parse_args(argv)

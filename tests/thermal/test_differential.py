@@ -1,11 +1,11 @@
 """Differential tests of the independent solve paths.
 
 Four implementations answer ``(G - i D) theta = p(i)`` for a package
-model: the per-current sparse-LU engine (``mode="direct"``), the
-Woodbury factorization-reuse engine (``mode="reuse"``), the
-G-preconditioned iterative backend (``mode="krylov"``, with ``auto``
-dispatching between the last two), and a dense ``numpy.linalg.solve``
-on the assembled matrices.  They share no code past assembly, so
+model: the per-current sparse SPD factorization (``mode="direct"``),
+the Woodbury factorization-reuse engine (``mode="reuse"``), the
+multigrid-preconditioned CG backend (``mode="mg"``, with ``auto``
+dispatching among the three), and a dense ``numpy.linalg.solve`` on
+the assembled matrices.  They share no code past assembly, so
 agreement on randomized floorplans and deployments is strong evidence
 against a defect in any one path.
 
@@ -96,25 +96,25 @@ class TestSolverModesAgree:
 
     @given(_instances())
     @_settings
-    def test_krylov_and_auto_vs_dense(self, instance):
+    def test_mg_and_auto_vs_dense(self, instance):
         """The iterative backend (and ``auto`` dispatch) must agree
         with the dense reference on random floorplans too."""
         rows, cols, power, deployment = instance
         grid = TileGrid(rows, cols)
-        krylov = PackageThermalModel(
-            grid, power, tec_tiles=deployment, solver_mode="krylov"
+        mg = PackageThermalModel(
+            grid, power, tec_tiles=deployment, solver_mode="mg"
         )
         auto = PackageThermalModel(
             grid, power, tec_tiles=deployment, solver_mode="auto"
         )
-        for current in _currents(krylov):
-            system = krylov.system
+        for current in _currents(mg):
+            system = mg.system
             theta_dense = np.linalg.solve(
                 system.system_matrix(current).toarray(),
                 system.power_vector(current),
             )
             np.testing.assert_allclose(
-                krylov.solve(current).theta_k, theta_dense,
+                mg.solve(current).theta_k, theta_dense,
                 atol=_ATOL_K, rtol=0.0,
             )
             np.testing.assert_allclose(
@@ -124,11 +124,11 @@ class TestSolverModesAgree:
 
     @given(_instances())
     @_settings
-    def test_krylov_multi_rhs_matches_dense(self, instance):
+    def test_mg_multi_rhs_matches_dense(self, instance):
         rows, cols, power, deployment = instance
         grid = TileGrid(rows, cols)
         model = PackageThermalModel(
-            grid, power, tec_tiles=deployment, solver_mode="krylov"
+            grid, power, tec_tiles=deployment, solver_mode="mg"
         )
         current = 0.5 * model.runaway_current().value
         rhs = np.eye(model.num_nodes)[:, :3]

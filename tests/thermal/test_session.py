@@ -108,14 +108,14 @@ class TestViewKeying:
         view = model.session.view(_shift_for(model))
         assert view.mode == "auto"
         assert view.effective_mode == model.solver.effective_mode
-        assert view.effective_mode in ("reuse", "krylov")
+        assert view.effective_mode in ("reuse", "direct", "mg")
 
 
 class TestShiftedSolves:
     """``(S + G - i D) x = b`` must match a dense reference in every
     backend — this is the transient / control-loop system."""
 
-    @pytest.mark.parametrize("mode", ["direct", "reuse", "krylov", "auto"])
+    @pytest.mark.parametrize("mode", ["direct", "reuse", "mg", "auto"])
     def test_solve_rhs_matches_dense(self, make_model, mode):
         model = make_model(mode)
         shift = _shift_for(model)
@@ -204,7 +204,7 @@ class TestSolveDiagonal:
         )
         return d
 
-    @pytest.mark.parametrize("mode", ["direct", "reuse", "krylov"])
+    @pytest.mark.parametrize("mode", ["direct", "reuse", "mg"])
     def test_matches_dense(self, make_model, mode):
         model = make_model(mode)
         view = model.session.base_view()
@@ -232,7 +232,7 @@ class TestSolveDiagonal:
             view.solve_diagonal(d, rhs), dense, atol=_ATOL_K, rtol=0.0
         )
 
-    @pytest.mark.parametrize("mode", ["direct", "reuse", "krylov"])
+    @pytest.mark.parametrize("mode", ["direct", "reuse", "mg"])
     def test_zero_diagonal_is_the_base_solve(self, make_model, mode):
         model = make_model(mode)
         view = model.session.base_view()
@@ -295,14 +295,12 @@ def _remote_solve(model, current):
 class TestForkSafety:
     """Sessions must survive pickling (process pools, forked servers).
 
-    ``SessionView.__getstate__`` drops the live ``splu`` handles and
+    ``SessionView.__getstate__`` drops the live factor handles and
     every factorization-derived cache; clones rebuild them lazily and
     must answer bit-identically to the warm original.
     """
 
-    @pytest.mark.parametrize(
-        "mode", ["direct", "reuse", "krylov", "cholesky", "mg", "auto"]
-    )
+    @pytest.mark.parametrize("mode", ["direct", "reuse", "mg", "auto"])
     def test_warm_model_roundtrips_bit_identically(self, make_model, mode):
         import pickle
 

@@ -186,75 +186,59 @@ class TestReuseMode:
             SteadyStateSolver(tec_system, mode="iterative")
 
 
-class TestKrylovMode:
+class TestMgMode:
     def test_matches_direct_mode(self, tec_system):
         direct = SteadyStateSolver(tec_system, mode="direct")
-        krylov = SteadyStateSolver(tec_system, mode="krylov")
+        mg = SteadyStateSolver(tec_system, mode="mg")
         for current in (0.0, 0.5, 1.0, 2.0):
             assert np.allclose(
-                krylov.solve(current), direct.solve(current),
+                mg.solve(current), direct.solve(current),
                 rtol=1e-8, atol=1e-8,
             )
 
     def test_solve_rhs_matches_direct(self, tec_system):
         direct = SteadyStateSolver(tec_system, mode="direct")
-        krylov = SteadyStateSolver(tec_system, mode="krylov")
+        mg = SteadyStateSolver(tec_system, mode="mg")
         rhs = np.column_stack([
             tec_system.p_base,
             np.arange(1.0, tec_system.num_nodes + 1.0),
         ])
         assert np.allclose(
-            krylov.solve_rhs(1.5, rhs), direct.solve_rhs(1.5, rhs),
+            mg.solve_rhs(1.5, rhs), direct.solve_rhs(1.5, rhs),
             rtol=1e-8, atol=1e-8,
         )
 
     def test_influence_rows_match_direct(self, tec_system):
         direct = SteadyStateSolver(tec_system, mode="direct")
-        krylov = SteadyStateSolver(tec_system, mode="krylov")
+        mg = SteadyStateSolver(tec_system, mode="mg")
         nodes = range(tec_system.num_nodes)
         assert np.allclose(
-            krylov.influence_rows(1.0, nodes),
+            mg.influence_rows(1.0, nodes),
             direct.influence_rows(1.0, nodes),
             rtol=1e-8, atol=1e-8,
         )
 
     def test_iteration_counters(self, tec_system):
-        solver = SteadyStateSolver(tec_system, mode="krylov")
+        solver = SteadyStateSolver(tec_system, mode="mg")
         solver.solve(0.7)
-        assert solver.stats.krylov_solves == 1
-        assert solver.stats.krylov_iterations >= 1
-        assert solver.stats.krylov_fallbacks == 0
-        # a single base-G factorization backs the preconditioner
-        assert solver.stats.factorizations == 1
-
-    def test_zero_current_skips_iteration(self, tec_system):
-        solver = SteadyStateSolver(tec_system, mode="krylov")
-        solver.solve(0.0)
-        assert solver.stats.krylov_solves == 0
+        assert solver.stats.mg_hierarchies == 1
+        assert solver.stats.mg_solves == 1
+        assert solver.stats.mg_cycles >= 1
+        assert solver.stats.mg_fallbacks == 0
+        # the hierarchy replaces every assembled factorization
+        assert solver.stats.factorizations == 0
 
     def test_fallback_on_exhausted_budget(self, tec_system):
         """An exhausted iteration budget falls back to the exact
-        per-current LU — same answer, fallback counted."""
+        per-current factorization — same answer, fallback counted."""
         direct = SteadyStateSolver(tec_system, mode="direct")
         starved = SteadyStateSolver(
-            tec_system, mode="krylov", krylov_maxiter=1, krylov_restart=1
+            tec_system, mode="mg", krylov_rtol=1e-30, krylov_maxiter=1
         )
         theta = starved.solve(2.0)
-        assert starved.stats.krylov_fallbacks >= 1
+        assert starved.stats.mg_fallbacks >= 1
+        assert starved.stats.factorizations == 1
         assert np.allclose(theta, direct.solve(2.0), rtol=1e-10, atol=1e-10)
-
-    def test_bicgstab_matches_direct(self, tec_system):
-        direct = SteadyStateSolver(tec_system, mode="direct")
-        solver = SteadyStateSolver(
-            tec_system, mode="krylov", krylov_method="bicgstab"
-        )
-        assert np.allclose(
-            solver.solve(1.0), direct.solve(1.0), rtol=1e-8, atol=1e-8
-        )
-
-    def test_krylov_method_validation(self, tec_system):
-        with pytest.raises(ValueError, match="krylov_method"):
-            SteadyStateSolver(tec_system, mode="krylov", krylov_method="jacobi")
 
 
 class TestAutoMode:
@@ -262,12 +246,12 @@ class TestAutoMode:
         assert select_backend(100, 10) == "reuse"
 
     def test_select_backend_dense_support(self):
-        assert select_backend(10000, 2000) == "krylov"
+        assert select_backend(10000, 2000) == "direct"
 
     def test_select_backend_floor_boundary(self):
         # the floor dominates sqrt(n) on small systems
         assert select_backend(16, AUTO_SUPPORT_FLOOR) == "reuse"
-        assert select_backend(16, AUTO_SUPPORT_FLOOR + 1) == "krylov"
+        assert select_backend(16, AUTO_SUPPORT_FLOOR + 1) == "direct"
 
     def test_auto_resolves_per_system(self, tec_system):
         solver = SteadyStateSolver(tec_system, mode="auto")
@@ -285,7 +269,7 @@ class TestAutoMode:
             )
 
     def test_non_auto_effective_mode_is_identity(self, tec_system):
-        for mode in ("direct", "reuse", "krylov"):
+        for mode in ("direct", "reuse", "mg"):
             assert SteadyStateSolver(tec_system, mode=mode).effective_mode == mode
 
 
@@ -322,7 +306,7 @@ class TestExactFloatCacheKey:
 
 class TestSingularHandling:
     """SingularSystemError at/beyond the runaway current ``lambda_m``
-    for the reuse and krylov backends (direct is covered above)."""
+    for the reuse and mg backends (direct is covered above)."""
 
     @staticmethod
     def _runaway(tec_system):
@@ -355,21 +339,75 @@ class TestSingularHandling:
         with pytest.raises(SingularSystemError):
             solver.solve(1.5 * self._runaway(tec_system), check_definite=True)
 
-    def test_krylov_check_definite_beyond_runaway(self, tec_system):
-        solver = SteadyStateSolver(tec_system, mode="krylov")
+    def test_mg_check_definite_beyond_runaway(self, tec_system):
+        solver = SteadyStateSolver(tec_system, mode="mg")
         with pytest.raises(SingularSystemError):
             solver.solve(1.5 * self._runaway(tec_system), check_definite=True)
 
-    def test_krylov_near_runaway_stays_accurate(self, tec_system):
+    def test_mg_near_runaway_stays_accurate(self, tec_system):
         """Close to runaway the preconditioned spectrum degrades; the
         residual check must either converge or fall back — never return
         an inaccurate answer silently."""
         direct = SteadyStateSolver(tec_system, mode="direct")
-        krylov = SteadyStateSolver(tec_system, mode="krylov")
+        mg = SteadyStateSolver(tec_system, mode="mg")
         current = 0.999 * self._runaway(tec_system)
         assert np.allclose(
-            krylov.solve(current), direct.solve(current), rtol=1e-6
+            mg.solve(current), direct.solve(current), rtol=1e-6
         )
+
+
+class TestNearRunawayBackends:
+    """The three backends around ``lambda_m`` on a densely deployed die.
+
+    An 8x8 die with 32 TECs.  Below runaway (90%, 99%, 99.9% of
+    ``lambda_m``) ``direct``, ``reuse`` and ``mg`` agree to the
+    near-runaway relative tolerance of :class:`TestSingularHandling`;
+    past it the ``direct`` backend's positive-pivot certificate, and the
+    ``mg`` backend's ``b'x > 0`` CG certificate with its factorized
+    fallback, raise :class:`SingularSystemError` instead of returning
+    sub-zero Kelvin.
+    """
+
+    _MODES = ("direct", "reuse", "mg")
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        from repro.thermal.geometry import TileGrid
+        from repro.thermal.model import PackageThermalModel
+
+        grid = TileGrid(8, 8)
+        power = np.full(grid.num_tiles, 0.3)
+        power[[18, 19, 26, 27, 44, 45]] = 2.0
+        tiles = tuple(range(0, grid.num_tiles, 2))
+        return {
+            mode: PackageThermalModel(
+                grid, power, tec_tiles=tiles, solver_mode=mode
+            )
+            for mode in self._MODES
+        }
+
+    @pytest.mark.parametrize("fraction", [0.9, 0.99, 0.999])
+    def test_backends_agree_below_runaway(self, models, fraction):
+        current = fraction * models["direct"].runaway_current().value
+        reference = models["direct"].solver.solve(current)
+        for mode in ("reuse", "mg"):
+            np.testing.assert_allclose(
+                models[mode].solver.solve(current), reference, rtol=1e-6
+            )
+
+    @pytest.mark.parametrize("fraction", [1.001, 1.05])
+    def test_direct_raises_past_runaway(self, models, fraction):
+        model = models["direct"]
+        assert len(model.stamps) == 32
+        current = fraction * model.runaway_current().value
+        with pytest.raises(SingularSystemError):
+            model.solve(current)
+
+    @pytest.mark.parametrize("fraction", [1.001, 1.05])
+    def test_mg_raises_past_runaway(self, models, fraction):
+        current = fraction * models["direct"].runaway_current().value
+        with pytest.raises(SingularSystemError):
+            models["mg"].solve(current)
 
 
 class TestBatchedRhs:
@@ -409,8 +447,7 @@ class TestSolverStats:
             "factorizations", "cap_factorizations", "cap_refinements",
             "cap_refine_failures", "cache_hits",
             "cache_misses", "evictions", "solves", "rhs_columns",
-            "solution_hits", "krylov_solves", "krylov_iterations",
-            "krylov_fallbacks", "mg_hierarchies", "mg_solves",
+            "solution_hits", "mg_hierarchies", "mg_solves",
             "mg_cycles", "mg_fallbacks",
             "factor_time_s", "solve_time_s",
             "full_builds", "incremental_builds", "assembly_time_s",
