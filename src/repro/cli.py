@@ -4,14 +4,12 @@ Usage (also installed as the ``repro`` console script)::
 
     python -m repro.cli table1 [--benchmarks alpha hc01 ...] [--json OUT]
                                [--workers 4] [--sweep-report OUT]
-                               [--engine incremental] [--max-rounds N]
-                               [--round-stats]
+                               [--max-rounds N] [--round-stats]
     python -m repro.cli sweep [--benchmark alpha] [--power-scales 0.9 1.1]
                               [--budgets 0 0.5 1.0] [--workers 4]
                               [--backend mg]
     python -m repro.cli solve --benchmark alpha [--limit 85] [--json OUT]
-                              [--engine incremental] [--max-rounds N]
-                              [--round-stats]
+                              [--max-rounds N] [--round-stats]
     python -m repro.cli solve --flp chip.flp --powers powers.json --limit 85
     python -m repro.cli transient --benchmark alpha [--tiles 27 28 ...]
                                   [--current 3.2] [--dt 1e-3] [--steps 200]
@@ -49,11 +47,6 @@ from repro import __version__
 #: parse time with this list, uniformly across every subcommand
 #: (``tests/test_cli.py::TestBackendValidation``).
 _BACKENDS = ("direct", "reuse", "mg", "auto")
-
-#: GreedyDeploy engines exposed by ``--engine``.  Mirrors
-#: :data:`repro.core.deploy.DEPLOY_ENGINES` (same deferred-import
-#: rationale as :data:`_BACKENDS`).
-_ENGINES = ("cold", "incremental")
 
 #: Reduced-order modes exposed by ``--rom``.  Mirrors
 #: :data:`repro.linalg.mor.ROM_MODES` (same deferred-import rationale
@@ -147,7 +140,7 @@ def _rounds_count(text):
 
 
 def _print_round_stats(rounds, indent="  "):
-    """Per-round engine instrumentation lines (``--round-stats``).
+    """Per-round GreedyDeploy instrumentation lines (``--round-stats``).
 
     Sweep-borne payloads strip the wall-clock fields (they are
     execution metadata, excluded from the bit-reproducible ``values``);
@@ -158,14 +151,13 @@ def _print_round_stats(rounds, indent="  "):
         wall = entry.get("wall_s")
         timing = "" if wall is None else "{:.3f} s, ".format(wall)
         print(
-            "{}round {}: {}{} evals ({} bracket), runaway {} "
-            "(lambda_m {:.4g} A), border {}".format(
+            "{}round {}: {}{} evals ({} bracket), lambda_m {:.4g} A, "
+            "border {}".format(
                 indent,
                 entry.get("index"),
                 timing,
                 entry.get("evaluations", 0),
                 warm,
-                entry.get("runaway_method", "?"),
                 entry.get("lambda_m", float("nan")),
                 entry.get("border_mode", "off"),
             )
@@ -193,19 +185,13 @@ def _add_table1(subparsers):
              "per-row payloads) as JSON",
     )
     parser.add_argument(
-        "--engine", choices=_ENGINES, default=None,
-        help="GreedyDeploy engine: 'cold' (per-round recompute, default) "
-             "or 'incremental' (cross-round factorization/runaway/"
-             "bracket reuse)",
-    )
-    parser.add_argument(
         "--max-rounds", type=_rounds_count, default=None, metavar="N",
         help="greedy-round budget per row, N >= 1 (default: run to "
              "natural termination; exhausted rows report infeasible)",
     )
     parser.add_argument(
         "--round-stats", action="store_true",
-        help="print per-round engine instrumentation after the table",
+        help="print per-round GreedyDeploy instrumentation after the table",
     )
     parser.set_defaults(func=_cmd_table1)
 
@@ -216,7 +202,7 @@ def _cmd_table1(args):
 
     comparison = run_table1(
         args.benchmarks, workers=args.workers,
-        max_rounds=args.max_rounds, engine=args.engine,
+        max_rounds=args.max_rounds,
     )
     print(comparison.render(markdown=args.markdown))
     print()
@@ -233,11 +219,7 @@ def _cmd_table1(args):
         print()
         for result in comparison.sweep_report.results:
             rounds = result.values.get("round_stats", [])
-            print("{} ({} engine, {} rounds):".format(
-                result.name,
-                result.values.get("deploy_engine", "cold"),
-                len(rounds),
-            ))
+            print("{} ({} rounds):".format(result.name, len(rounds)))
             _print_round_stats(rounds)
     if args.json:
         rows_to_json(comparison.rows, args.json, metadata={"tool": "repro " + __version__})
@@ -364,19 +346,13 @@ def _add_solve(subparsers):
     )
     _add_solver_options(parser, "solve")
     parser.add_argument(
-        "--engine", choices=_ENGINES, default=None,
-        help="GreedyDeploy engine: 'cold' (per-round recompute, default) "
-             "or 'incremental' (cross-round factorization/runaway/"
-             "bracket reuse)",
-    )
-    parser.add_argument(
         "--max-rounds", type=_rounds_count, default=None, metavar="N",
         help="greedy-round budget, N >= 1 (default: run to natural "
              "termination; an exhausted budget reports infeasible)",
     )
     parser.add_argument(
         "--round-stats", action="store_true",
-        help="print per-round engine instrumentation after the run",
+        help="print per-round GreedyDeploy instrumentation after the run",
     )
     parser.set_defaults(func=_cmd_solve)
 
@@ -397,11 +373,7 @@ def _cmd_solve(args):
         except ValueError as error:
             raise SystemExit("repro solve: error: {}".format(error))
 
-    result = greedy_deploy(
-        problem,
-        max_rounds=args.max_rounds,
-        engine=args.engine if args.engine is not None else "cold",
-    )
+    result = greedy_deploy(problem, max_rounds=args.max_rounds)
     print("problem: {} (limit {:.1f} C)".format(problem.name, problem.max_temperature_c))
     print("feasible:     {}".format(result.feasible))
     print("no-TEC peak:  {:.2f} C".format(result.no_tec_peak_c))
@@ -946,10 +918,6 @@ def _add_chiplet(subparsers):
         help="after --deploy, optimize one supply current per chiplet "
              "(pin groups) and report the gain over the shared pin",
     )
-    parser.add_argument(
-        "--engine", choices=list(_ENGINES), default=None,
-        help="GreedyDeploy engine (default cold)",
-    )
     parser.add_argument("--json", metavar="PATH", help="write the result as JSON")
     _add_solver_options(parser, "chiplet")
     parser.set_defaults(func=_cmd_chiplet)
@@ -1043,9 +1011,7 @@ def _cmd_chiplet(args):
         })
         exit_code = 0 if state.peak_silicon_c <= problem.max_temperature_c else 1
     else:
-        result = problem.deploy(
-            engine=args.engine if args.engine is not None else "cold"
-        )
+        result = problem.deploy()
         by_chiplet = result.tiles_by_chiplet()
         state = result.model.solve(result.current)
         peaks = _per_chiplet_peaks(state)

@@ -12,7 +12,7 @@ temperatures diverge (Theorem 2).  Under Conjecture 1 every
 ``theta_k(i)`` is convex on ``[0, lambda_m)`` (Theorem 3 + the Lemma 4
 certificate), so the max is convex and any local minimum is global.
 
-Three solvers are provided:
+Three solvers are provided (:data:`CURRENT_METHODS`):
 
 * ``method="golden"`` (default): bracket the minimum by doubling from
   zero, then golden-section — derivative-free, robust, and optimal for
@@ -21,20 +21,17 @@ Three solvers are provided:
   backtracking line search, using the exact derivative
   ``theta'(i) = H (D theta + 2 i j)`` obtained from
   ``H' = H D H`` and ``p'(i) = 2 i j``;
-* ``method="brent"``: bounded Brent (scipy) — superlinear on the
-  convex objective;
 * ``method="newton"``: safeguarded secant (Illinois) root-find on the
   exact slope ``theta'(i)`` — each evaluation reuses the current's
   factorized system for the derivative solve, so a warm-started round
-  converges in ~6-8 factorizations; the workhorse of the incremental
-  deployment engine's warm rounds.
+  converges in ~6-8 factorizations; GreedyDeploy runs every round
+  after the first with it.
 
-Warm starts: callers that already know ``lambda_m`` (the incremental
-engine's shift-inverted estimate) pass it via ``lambda_m=`` to skip
-the per-round Lanczos solve, and seed the search with ``bounds=``
-— a sub-interval of ``[0, upper]`` around the previous round's
-optimum, validated by interior-vs-edge probes and expanded when the
-minimum moved outside it.
+Warm starts: callers that already know ``lambda_m`` (GreedyDeploy
+computes it once per round) pass it via ``lambda_m=`` to skip the
+internal Lanczos solve, and seed ``"newton"`` with ``bounds=`` — a
+sub-interval of ``[0, upper]`` around the previous round's optimum
+from which the slope-sign bracket discovery starts.
 
 :func:`polish_current` refines any approximate minimizer by one
 deterministic parabolic fit through three fixed-spacing samples —
@@ -53,6 +50,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.utils.validate import check_in_range, check_positive
+
+#: Problem 2 search methods accepted by :func:`minimize_peak_temperature`.
+CURRENT_METHODS = ("golden", "gradient", "newton")
 
 #: Golden ratio constant for the section search.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -73,7 +73,7 @@ class CurrentOptimizationResult:
     evaluations:
         Number of steady-state solves performed.
     method:
-        ``"golden"`` or ``"gradient"``.
+        One of :data:`CURRENT_METHODS`.
     converged:
         True when the bracket/step tolerance was met within the
         iteration budget.  For the gradient method this also requires
@@ -89,7 +89,8 @@ class CurrentOptimizationResult:
         Wall-clock split: computing ``lambda_m`` (zero when injected
         by the caller) vs the 1-D search itself.
     warm_started:
-        True when the search ran inside caller-provided ``bounds``.
+        True when the ``"newton"`` search started from caller-provided
+        ``bounds``.
     """
 
     current: float
@@ -154,9 +155,8 @@ def minimize_peak_temperature(
         least one TEC deployed.  (With none, the result is trivially
         ``i = 0``.)
     method:
-        ``"golden"`` (default), ``"gradient"`` (the paper's descent),
-        ``"brent"`` (bounded Brent via scipy) or ``"newton"``
-        (safeguarded secant on the exact slope).
+        ``"golden"`` (default), ``"gradient"`` (the paper's descent)
+        or ``"newton"`` (safeguarded secant on the exact slope).
     tolerance:
         Absolute current tolerance on the final bracket / step (A).
     safety_fraction:
@@ -171,26 +171,28 @@ def minimize_peak_temperature(
     lambda_m:
         Externally computed runaway current (a float or anything with
         ``.value``/``__float__``).  Skips the internal
-        ``model.runaway_current()`` eigensolve — the incremental
-        deployment engine passes its warm shift-inverted estimate
-        here.  Must be an *upper* bound on the true value only up to
-        the safety margin: a ``1/safety_fraction`` overestimate still
-        keeps the capped search interval valid.
+        ``model.runaway_current()`` eigensolve — GreedyDeploy passes
+        the value it computed for the round here.  Must be an *upper*
+        bound on the true value only up to the safety margin: a
+        ``1/safety_fraction`` overestimate still keeps the capped
+        search interval valid.
     bounds:
         Optional ``(lo, hi)`` warm-start interval (A) believed to
         contain the minimizer — typically the previous greedy round's
-        optimum scaled by the ``lambda_m`` ratio.  Clipped to
-        ``[0, upper]``, validated by an interior-vs-edge probe and
-        expanded (up to the full interval) when the minimum moved
-        outside; used by ``"golden"`` and ``"brent"``.  ``"newton"``
-        instead seeds its slope-sign bracket discovery from the
-        interval — no validation probes, a drifted minimum just costs
-        extra doubling steps.
+        optimum scaled by the ``lambda_m`` ratio.  Only ``"newton"``
+        takes it: it seeds the slope-sign bracket discovery, so a
+        drifted minimum just costs extra doubling steps.
 
     Returns
     -------
     CurrentOptimizationResult
     """
+    if method not in CURRENT_METHODS:
+        raise ValueError(
+            "unknown method {!r}; use one of {}".format(method, CURRENT_METHODS)
+        )
+    if bounds is not None and method != "newton":
+        raise ValueError("bounds= seeds only the 'newton' search")
     check_positive(tolerance, "tolerance")
     check_in_range(safety_fraction, "safety_fraction", 0.0, 1.0, inclusive=(False, False))
     objective = _PeakObjective(model, record_history=record_history)
@@ -230,30 +232,12 @@ def minimize_peak_temperature(
         raise ValueError("deployment has TECs but no runaway current; D is degenerate")
     upper = safety_fraction * lambda_m
 
-    warm_interval = None
-    if bounds is not None and method in ("golden", "brent"):
-        warm_interval = _validated_bounds(objective, bounds, upper)
-
     if method == "golden":
-        if warm_interval is not None:
-            result = _section_on_interval(
-                objective, warm_interval, tolerance, max_iterations
-            )
-        else:
-            result = _golden_section(objective, upper, tolerance, max_iterations)
+        result = _golden_section(objective, upper, tolerance, max_iterations)
     elif method == "gradient":
         result = _gradient_descent(objective, upper, tolerance, max_iterations)
-    elif method == "brent":
-        interval = warm_interval if warm_interval is not None else (0.0, upper)
-        result = _brent_bounded(objective, interval, tolerance, max_iterations)
-    elif method == "newton":
-        result = _newton_on_slope(objective, bounds, upper, tolerance, max_iterations)
-        warm_interval = bounds if bounds is not None else None
     else:
-        raise ValueError(
-            "unknown method {!r}; use 'golden', 'gradient', 'brent' or "
-            "'newton'".format(method)
-        )
+        result = _newton_on_slope(objective, bounds, upper, tolerance, max_iterations)
     current, peak, converged = result
     return CurrentOptimizationResult(
         current=current,
@@ -266,87 +250,8 @@ def minimize_peak_temperature(
         stats=model.solver.stats.diff(stats_before),
         runaway_s=runaway_s,
         search_s=time.perf_counter() - search_start,
-        warm_started=warm_interval is not None,
+        warm_started=bounds is not None,
     )
-
-
-def _validated_bounds(objective, bounds, upper):
-    """Clip, probe and (if needed) expand a warm-start interval.
-
-    Returns ``(lo, hi)`` certified (for a convex objective) to contain
-    the minimizer — ``f(mid) <= min(f(lo), f(hi))`` — or ``None`` when
-    expansion hit the full ``[0, upper]`` interval, telling the caller
-    to fall back to the cold search.  Costs 3 evaluations when the
-    warm guess is good, up to ~6 more when the minimum drifted.
-    """
-    lo, hi = float(bounds[0]), float(bounds[1])
-    lo = min(max(lo, 0.0), upper)
-    hi = min(max(hi, lo), upper)
-    if hi - lo <= 0.0:
-        return None
-    f_lo = objective(lo)
-    f_hi = objective(hi)
-    f_mid = objective(0.5 * (lo + hi))
-    for _ in range(6):
-        if f_mid <= min(f_lo, f_hi):
-            return lo, hi
-        width = hi - lo
-        if f_lo <= f_hi:
-            lo = max(0.0, lo - 2.0 * width)
-            f_lo = objective(lo)
-        else:
-            hi = min(upper, hi + 2.0 * width)
-            f_hi = objective(hi)
-        f_mid = objective(0.5 * (lo + hi))
-    return None
-
-
-def _section_on_interval(objective, interval, tolerance, max_iterations):
-    """Golden-section restricted to a validated bracket."""
-    lo, hi = interval
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    edge_lo, edge_hi = lo, hi
-    f_edge_lo, f_edge_hi = objective(lo), objective(hi)
-    iterations = 0
-    while hi - lo > tolerance and iterations < max_iterations:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = objective(x2)
-        iterations += 1
-    candidates = [
-        (f1, x1), (f2, x2), (f_edge_lo, edge_lo), (f_edge_hi, edge_hi)
-    ]
-    peak, current = min(candidates)
-    return float(current), float(peak), iterations < max_iterations
-
-
-def _brent_bounded(objective, interval, tolerance, max_iterations):
-    """Bounded Brent via scipy — superlinear on the convex objective."""
-    from scipy.optimize import minimize_scalar
-
-    lo, hi = interval
-    outcome = minimize_scalar(
-        lambda i: objective(float(i)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": tolerance, "maxiter": max_iterations},
-    )
-    current = float(outcome.x)
-    peak = float(outcome.fun)
-    # fminbound never samples the exact endpoints; a minimum pinned at
-    # zero (cooling never helps) must still be reported as i = 0.
-    if lo == 0.0:
-        f_zero = objective(0.0)
-        if f_zero <= peak:
-            current, peak = 0.0, f_zero
-    return current, peak, bool(outcome.success)
 
 
 def _newton_on_slope(objective, bounds, upper, tolerance, max_iterations):
@@ -454,8 +359,8 @@ def polish_current(model, current, *, spacing=1.0e-3, upper=None,
     is iterated — recentered on each vertex — until the vertex moves
     by less than ``1e-4 h`` (a fixed point independent of which
     plateau point seeded it, reproducible to ~1e-7 A).  Used by the
-    incremental engine on its final optimum and by the
-    cold/incremental agreement checks.
+    GreedyDeploy differential checks to compare optima reached along
+    different evaluation paths.
 
     Returns ``(polished_current, evaluations)`` — the best center so
     far (the input current on the first step) when the local samples

@@ -55,12 +55,12 @@ class Table1Comparison:
 
 
 def run_benchmark_row(name, *, stack=None, device=None, current_method="golden",
-                      max_rounds=None, engine="cold"):
+                      max_rounds=None):
     """Run one Table I row; returns ``(BenchmarkRow, greedy, fullcover)``."""
     spec = BENCHMARKS[name]
     problem = spec.problem(stack=stack, device=device)
     greedy = greedy_deploy(problem, current_method=current_method,
-                           max_rounds=max_rounds, engine=engine)
+                           max_rounds=max_rounds)
     baseline = full_cover(problem, current_method=current_method)
     row = BenchmarkRow.from_results(spec.name, spec.limit_c, greedy, baseline)
     return row, greedy, baseline
@@ -91,7 +91,7 @@ def row_from_scenario_result(result):
 
 
 def run_table1(names=None, *, stack=None, device=None, current_method="golden",
-               workers=None, max_rounds=None, engine=None):
+               workers=None, max_rounds=None):
     """Run all (or selected) Table I rows.
 
     Parameters
@@ -110,9 +110,6 @@ def run_table1(names=None, *, stack=None, device=None, current_method="golden",
         Greedy-round budget per row; None runs every row to natural
         termination.  Rows that exhaust the budget report
         ``feasible=False`` with the rounds taken so far.
-    engine:
-        GreedyDeploy engine (``"cold"`` / ``"incremental"``); None
-        uses the default (``"cold"``).
 
     Returns a :class:`Table1Comparison`; with the sweep path the
     underlying :class:`~repro.sweep.report.SweepReport` is attached as
@@ -124,7 +121,7 @@ def run_table1(names=None, *, stack=None, device=None, current_method="golden",
         from repro.sweep import SweepRunner, SweepSpec
 
         spec = SweepSpec.table1(names, current_method=current_method,
-                                max_rounds=max_rounds, engine=engine)
+                                max_rounds=max_rounds)
         report = SweepRunner(workers).run(spec)
         if report.errors:
             first = report.errors[0]
@@ -145,7 +142,7 @@ def run_table1(names=None, *, stack=None, device=None, current_method="golden",
         for name in names:
             row, _, _ = run_benchmark_row(
                 name, stack=stack, device=device, current_method=current_method,
-                max_rounds=max_rounds, engine=engine or "cold",
+                max_rounds=max_rounds,
             )
             rows.append(row)
     return Table1Comparison(

@@ -42,12 +42,14 @@ Three computations are provided:
     support, so consecutive rounds' runaway currents are close and the
     hinted bracket collapses in a handful of oracle calls.
 ``runaway_current_shift_invert``
-    Warm-started inverse iteration on the pencil ``(G, D)`` for the
-    incremental deployment engine: given the previous round's runaway
-    eigenvector, a few shift-inverted solves ``(G - s D)^{-1} D v``
-    through the solve engine's cached factorizations converge to the
-    new ``lambda_m`` — no extra sparse LU.  Like the kernel it returns
-    a Rayleigh quotient, hence a certified upper bound.
+    Warm-started inverse iteration on the pencil ``(G, D)``: given an
+    approximate runaway eigenvector, a few shift-inverted solves
+    ``(G - s D)^{-1} D v`` through a caller's cached factorizations
+    converge to ``lambda_m``.  Like the kernel it returns a Rayleigh
+    quotient, hence a certified upper bound.  No code path of the
+    package calls it (GreedyDeploy runs the Lanczos kernel every
+    round); it stays because the benchmark's layer map looks it up by
+    name, and the tests still cover it.
 """
 
 from __future__ import annotations
@@ -224,6 +226,10 @@ def runaway_current_shift_invert(
 ):
     """Warm-started ``lambda_m`` via shift-inverted inverse iteration.
 
+    Not called from the package itself (every ``lambda_m`` goes
+    through :func:`runaway_current_eigen`); kept for the benchmark's
+    layer map and covered by the tests.
+
     Parameters
     ----------
     solve:
@@ -234,12 +240,12 @@ def runaway_current_shift_invert(
     g_matrix / d_matrix:
         The pencil, used only for Rayleigh quotients (mat-vecs).
     guess:
-        Seed vector — the previous deployment's runaway eigenvector
-        mapped onto the current node ordering.  Must have
+        Seed vector — an approximate runaway eigenvector (e.g. a
+        previous deployment's, mapped onto this node ordering).  Must have
         ``x' D x > 0``.
     shift:
         Explicit initial shift (A).  Callers with a prior ``lambda_m``
-        estimate (the previous greedy round's value) should pass a
+        estimate (e.g. a smaller deployment's value) should pass a
         fraction of it: the seed's own Rayleigh quotient can
         overestimate ``lambda_m`` by orders of magnitude when the
         seed carries components outside the Peltier support, whose

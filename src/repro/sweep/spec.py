@@ -41,8 +41,10 @@ Scenario tasks
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
+from repro.core.current import CURRENT_METHODS
 from repro.thermal.solve import SOLVER_MODES
 
 #: Task identifiers accepted by :class:`Scenario`.
@@ -109,15 +111,13 @@ class Scenario:
         deployed device its own pin.
     current_method / current_tolerance:
         Problem 2 solver knobs forwarded to
-        :func:`~repro.core.current.minimize_peak_temperature`.
+        :func:`~repro.core.current.minimize_peak_temperature`: one of
+        :data:`~repro.core.current.CURRENT_METHODS` and a positive
+        finite tolerance (A).
     max_rounds:
         Greedy-round budget for ``greedy`` / ``table1`` tasks; None
         runs to the natural termination (the
         :func:`~repro.core.deploy.greedy_deploy` default).
-    engine:
-        GreedyDeploy engine for ``greedy`` / ``table1`` tasks — one of
-        :data:`~repro.core.deploy.DEPLOY_ENGINES` (``"cold"``,
-        ``"incremental"``) or None for the default (``"cold"``).
     backend:
         Solver backend for the instance — one of
         :data:`~repro.thermal.solve.SOLVER_MODES` (``"direct"``,
@@ -149,7 +149,6 @@ class Scenario:
     current_method: str = "golden"
     current_tolerance: float = 1.0e-4
     max_rounds: int = None
-    engine: str = None
     backend: str = None
 
     def __post_init__(self):
@@ -161,15 +160,22 @@ class Scenario:
                         self.max_rounds
                     )
                 )
-        if self.engine is not None:
-            from repro.core.deploy import DEPLOY_ENGINES
-
-            if self.engine not in DEPLOY_ENGINES:
-                raise ValueError(
-                    "engine must be one of {} (or None), got {!r}".format(
-                        DEPLOY_ENGINES, self.engine
-                    )
+        if self.current_method not in CURRENT_METHODS:
+            raise ValueError(
+                "current_method must be one of {}, got {!r}".format(
+                    CURRENT_METHODS, self.current_method
                 )
+            )
+        try:
+            tolerance = float(self.current_tolerance)
+        except (TypeError, ValueError):
+            tolerance = math.nan
+        if not (math.isfinite(tolerance) and tolerance > 0.0):
+            raise ValueError(
+                "current_tolerance must be a positive finite number, got "
+                "{!r}".format(self.current_tolerance)
+            )
+        object.__setattr__(self, "current_tolerance", tolerance)
         if self.backend is not None and self.backend not in SOLVER_MODES:
             raise ValueError(
                 "backend must be one of {} (or None), got {!r}".format(
@@ -346,8 +352,7 @@ class SweepSpec:
     # ------------------------------------------------------------------
 
     @classmethod
-    def table1(cls, names=None, *, current_method="golden", max_rounds=None,
-               engine=None):
+    def table1(cls, names=None, *, current_method="golden", max_rounds=None):
         """One ``table1`` scenario per Table I benchmark row."""
         from repro.experiments.benchmarks import benchmark_names
 
@@ -356,7 +361,7 @@ class SweepSpec:
             scenarios=[
                 Scenario(name=name, task="table1", benchmark=name,
                          current_method=current_method,
-                         max_rounds=max_rounds, engine=engine)
+                         max_rounds=max_rounds)
                 for name in names
             ],
             name="table1",

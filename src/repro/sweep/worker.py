@@ -223,7 +223,6 @@ def _greedy_values(scenario, problem):
         current_method=scenario.current_method,
         current_tolerance=scenario.current_tolerance,
         max_rounds=scenario.max_rounds,
-        engine=scenario.engine if scenario.engine is not None else "cold",
     )
     values = {
         "feasible": bool(result.feasible),
@@ -239,7 +238,6 @@ def _greedy_values(scenario, problem):
         "total_power_w": float(np.sum(problem.power_map)),
     }
     if result.deploy_stats is not None:
-        values["deploy_engine"] = result.deploy_stats.engine
         # ``values`` must be bit-reproducible across backends and cache
         # warmth (see the module docstring); per-round wall-clock splits
         # are execution metadata, so they stay out of the payload.

@@ -584,44 +584,9 @@ class SessionView:
 
         Builds it on first call (reuse machinery).  The returned
         object answers ``.solve(rhs)`` for 1-D or ``(n, k)`` right-hand
-        sides; the incremental deployment engine anchors its
-        cross-round bordered solves on it.
+        sides; the runaway kernel applies ``G^{-1}`` through it.
         """
         return self._base_factorization()
-
-    def adopt_base(self, base_solve):
-        """Inject an external base-``G`` solve (cross-round reuse).
-
-        ``base_solve`` must answer ``.solve(rhs)`` with ``G^{-1} rhs``
-        for this solver's assembled system — e.g. a
-        :class:`~repro.thermal.border.BorderedDeployContext` view that
-        expresses this round's ``G`` as a bordered low-rank update of
-        an earlier round's factorization.  A reuse-mode round seeded
-        this way performs **zero** new sparse factorizations: the
-        influence block ``W``, the base power pair and every Woodbury
-        correction ride the adopted solve.
-
-        Only meaningful on the unshifted view, in (effective) ``reuse``
-        mode, and before the view has built its own base factorization.
-        """
-        if self._shift is not None:
-            raise RuntimeError(
-                "adopt_base is only available on the unshifted (steady) view"
-            )
-        if self.effective_mode != "reuse":
-            raise RuntimeError(
-                "adopt_base requires the 'reuse' backend, solver is {!r}".format(
-                    self.effective_mode
-                )
-            )
-        if self._base_lu is not None:
-            raise RuntimeError("base factorization already built; cannot adopt")
-        if not hasattr(base_solve, "solve"):
-            raise TypeError("base_solve must expose a .solve(rhs) method")
-        self._base_lu = base_solve
-        support = np.flatnonzero(self.system.d_diagonal)
-        self._support = support
-        self._d_support = self.system.d_diagonal[support]
 
     def _ensure_influence(self):
         """Batch-solve the Woodbury influence block ``W = G^{-1} I_S``.

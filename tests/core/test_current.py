@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.current import minimize_peak_temperature, polish_current
+from repro.core.current import (
+    CURRENT_METHODS,
+    minimize_peak_temperature,
+    polish_current,
+)
 
 
 class TestGoldenSection:
@@ -64,6 +68,15 @@ class TestEdgeCases:
     def test_unknown_method(self, small_deployed):
         with pytest.raises(ValueError, match="unknown method"):
             minimize_peak_temperature(small_deployed, method="simplex")
+
+    def test_brent_retired(self, small_deployed):
+        assert CURRENT_METHODS == ("golden", "gradient", "newton")
+        with pytest.raises(ValueError, match="'golden', 'gradient', 'newton'"):
+            minimize_peak_temperature(small_deployed, method="brent")
+
+    def test_bounds_only_seed_newton(self, small_deployed):
+        with pytest.raises(ValueError, match="newton"):
+            minimize_peak_temperature(small_deployed, bounds=(1.0, 2.0))
 
     def test_tolerance_validated(self, small_deployed):
         with pytest.raises(ValueError):
@@ -221,7 +234,8 @@ class TestPolishCurrent:
     def test_fixed_point_is_start_independent(self, setting):
         # Raw argmins scattered across the solver-noise plateau
         # (~1e-5 wide here) must polish to one fixed point — this is
-        # what lets the two engines' optima be compared at 1e-6 A.
+        # what lets GreedyDeploy's warm optima be compared with the
+        # cold oracle's at 1e-6 A.
         model, optimum = setting
         upper = 0.98 * optimum.lambda_m
         a, _ = polish_current(model, optimum.current + 1e-5, upper=upper)

@@ -203,8 +203,8 @@ class TestShiftInvert:
         assert result.value >= exact * (1.0 - 1e-9)
 
     def test_explicit_shift_hint(self, pencil):
-        """The incremental engine passes 0.6x the previous round's
-        lambda_m as the starting shift."""
+        """A caller with a prior ``lambda_m`` estimate passes 0.6x of
+        it as the starting shift."""
         g, d, exact, vector = pencil
         result, _ = runaway_current_shift_invert(
             self._solve(g, d), g, d, guess=vector, shift=0.6 * exact

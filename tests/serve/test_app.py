@@ -245,6 +245,33 @@ class TestProcessTier:
         assert body["error_type"] == "ValueError"
         assert body["traceback"]
 
+    def test_bad_problem2_settings_are_a_400(self):
+        """A bad search method or tolerance is a schema error, answered
+        before any problem is built — never a 422 from the worker."""
+        bodies = [
+            {"benchmark": "alpha", "current_method": "bogus"},
+            {"benchmark": "alpha", "current_method": 7},
+            {"benchmark": "alpha", "current_tolerance": "abc"},
+            {"benchmark": "alpha", "current_tolerance": -1.0},
+            {"benchmark": "alpha", "current_tolerance": 0.0},
+        ]
+
+        async def scenario(app):
+            replies = [
+                await asgi_request(app, "POST", "/deploy", body)
+                for body in bodies
+            ]
+            _, stats = await asgi_request(app, "GET", "/stats")
+            return replies, stats
+
+        replies, stats = with_app(scenario, workers=1)
+        for body, (status, reply) in zip(bodies, replies):
+            assert status == 400, body
+            field = "current_method" if "current_method" in body else "current_tolerance"
+            assert field in reply["error"]
+            assert "traceback" not in reply
+        assert stats["pool"]["entries"] == []
+
     def test_sweep_matches_serial_runner(self):
         spec = SweepSpec(
             scenarios=(

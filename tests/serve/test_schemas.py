@@ -130,9 +130,36 @@ class TestParseDeploy:
         scenario = parse_deploy({"benchmark": "alpha", "full_cover": True})
         assert scenario.task == "table1"
 
-    def test_engine_forwarded(self):
-        scenario = parse_deploy({"benchmark": "alpha", "engine": "incremental"})
-        assert scenario.engine == "incremental"
+    def test_engine_field_rejected(self):
+        # GreedyDeploy has one loop; the retired engine field is refused.
+        with pytest.raises(SchemaError, match="unknown field.*engine"):
+            parse_deploy({"benchmark": "alpha", "engine": "incremental"})
+
+    def test_problem2_settings_forwarded(self):
+        scenario = parse_deploy({
+            "benchmark": "alpha", "current_method": "newton",
+            "current_tolerance": 1e-3,
+        })
+        assert scenario.current_method == "newton"
+        assert scenario.current_tolerance == 1e-3
+
+    @pytest.mark.parametrize("method", ["bogus", "brent", 7])
+    def test_bad_current_method_rejected(self, method):
+        with pytest.raises(SchemaError, match="current_method"):
+            parse_deploy({"benchmark": "alpha", "current_method": method})
+
+    @pytest.mark.parametrize("tolerance", ["abc", -1.0, 0.0])
+    def test_bad_current_tolerance_rejected(self, tolerance):
+        with pytest.raises(SchemaError, match="current_tolerance"):
+            parse_deploy({"benchmark": "alpha", "current_tolerance": tolerance})
+
+    def test_bad_current_method_rejected_in_sweep(self):
+        body = {"scenarios": [
+            {"name": "g", "task": "greedy", "benchmark": "alpha",
+             "current_method": "bogus"},
+        ]}
+        with pytest.raises(SchemaError, match="current_method"):
+            parse_sweep(body)
 
 
 class TestParseSweep:

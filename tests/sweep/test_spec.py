@@ -77,17 +77,32 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="'direct', 'reuse', 'mg', 'auto'"):
             _explicit(backend=backend)
 
-    def test_engine_defaults_to_none(self):
-        assert _explicit().engine is None
+    def test_max_rounds_defaults_to_none(self):
         assert _explicit().max_rounds is None
 
-    @pytest.mark.parametrize("engine", ["cold", "incremental"])
-    def test_valid_engines_accepted(self, engine):
-        assert _explicit(engine=engine).engine == engine
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            _explicit(engine="warp")
+        # GreedyDeploy has one loop; the retired engine field is refused.
+        with pytest.raises(TypeError, match="engine"):
+            _explicit(engine="cold")
+
+    @pytest.mark.parametrize("method", ["golden", "gradient", "newton"])
+    def test_valid_current_methods_accepted(self, method):
+        assert _explicit(current_method=method).current_method == method
+
+    @pytest.mark.parametrize("method", ["bogus", "brent", 7, None])
+    def test_unknown_current_method_rejected(self, method):
+        with pytest.raises(ValueError, match="current_method"):
+            _explicit(current_method=method)
+
+    @pytest.mark.parametrize(
+        "tolerance", ["abc", -1.0, 0.0, float("nan"), float("inf"), None]
+    )
+    def test_bad_current_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="current_tolerance"):
+            _explicit(current_tolerance=tolerance)
+
+    def test_current_tolerance_coerced(self):
+        assert _explicit(current_tolerance="1e-3").current_tolerance == 1e-3
 
     def test_max_rounds_coerced_and_validated(self):
         assert _explicit(max_rounds="3").max_rounds == 3

@@ -271,8 +271,8 @@ class TestWorkersValidation:
 
 
 class TestRoundsAndEngine:
-    """``--max-rounds`` validation mirrors ``--workers``; the engine
-    and round-stats flags ride the solve/table1 paths end to end."""
+    """``--max-rounds`` validation mirrors ``--workers``; the
+    round-stats flag rides the solve/table1 paths end to end."""
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_solve_rejects_nonpositive_rounds(self, capsys, value):
@@ -295,19 +295,27 @@ class TestRoundsAndEngine:
         assert "invalid int value" in capsys.readouterr().err
 
     def test_unknown_engine_rejected(self, capsys):
+        # GreedyDeploy has one loop; the retired flag is refused.
         with pytest.raises(SystemExit) as excinfo:
-            main(["solve", "--benchmark", "hc08", "--engine", "warp"])
+            main(["solve", "--benchmark", "hc08", "--engine", "cold"])
         assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
-    def test_solve_incremental_with_round_stats(self, capsys):
-        code = main([
-            "solve", "--benchmark", "hc08",
-            "--engine", "incremental", "--round-stats",
-        ])
+    @pytest.mark.parametrize("command", [
+        ["table1", "--benchmarks", "alpha"],
+        ["chiplet", "--deploy"],
+    ], ids=["table1", "chiplet"])
+    def test_engine_flag_retired_on_deploy_commands(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--engine", "cold"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+    def test_solve_with_round_stats(self, capsys):
+        code = main(["solve", "--benchmark", "hc08", "--round-stats"])
         out = capsys.readouterr().out
         assert code in (0, 1)
-        assert "round stats (incremental engine:" in out
+        assert "round stats (1 rounds," in out
         assert "round 0:" in out
 
     def test_solve_max_rounds_caps_loop(self, capsys):
@@ -323,10 +331,7 @@ class TestRoundsAndEngine:
         assert "round 1:" not in out
 
     def test_table1_round_stats(self, capsys):
-        code = main([
-            "table1", "--benchmarks", "alpha",
-            "--engine", "incremental", "--round-stats",
-        ])
+        code = main(["table1", "--benchmarks", "alpha", "--round-stats"])
         out = capsys.readouterr().out
         assert code == 0
         assert "round 0:" in out
