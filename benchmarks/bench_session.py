@@ -204,7 +204,6 @@ def _manual_nonlinear(problem, current, *, max_iterations=25, tolerance_k=1.0e-6
 def _measure_nonlinear():
     problem = load_benchmark("alpha")
     model = problem.model(_TILES)
-    model.ensure_blueprint()  # recording cost stays out of the deltas
 
     stats_before = problem.solver_stats.copy()
     start = time.perf_counter()

@@ -1,9 +1,9 @@
 """The fused solve engine vs the legacy per-current path.
 
 Runs GreedyDeploy on the Table I Alpha instance twice — once with the
-engine defaults (``mode="reuse"`` + incremental assembly) and once with
-the pre-engine configuration (``mode="direct"``, rebuild every model) —
-and checks the acceptance criteria of the engine PR:
+engine default (``mode="reuse"``) and once with the pre-engine backend
+(``mode="direct"``, one sparse LU per current) — and checks the
+acceptance criteria of the engine:
 
 * the engine performs at least 2x fewer sparse LU factorizations;
 * the deployment is identical (same tiles, same current to 1e-3 A,
@@ -38,14 +38,14 @@ def _timed_greedy(problem):
 
 @pytest.fixture(scope="module")
 def engine_run():
-    problem = load_benchmark("alpha")  # engine defaults: reuse + incremental
+    problem = load_benchmark("alpha")  # engine default: reuse
     return _timed_greedy(problem)
 
 
 @pytest.fixture(scope="module")
 def legacy_run():
     problem = load_benchmark("alpha").configure_solver(
-        mode="direct", incremental=False
+        mode="direct"
     )
     return _timed_greedy(problem)
 
@@ -119,7 +119,7 @@ def test_greedy_deploy_engine_timing(benchmark):
 def test_greedy_deploy_legacy_timing(benchmark):
     def run():
         problem = load_benchmark("alpha").configure_solver(
-            mode="direct", incremental=False
+            mode="direct"
         )
         return greedy_deploy(problem)
 

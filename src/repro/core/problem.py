@@ -51,10 +51,10 @@ class CoolingSystemProblem:
         deployment from the support size and node count).
     solver_cache_size:
         Per-current cache size forwarded to the solver.
-    incremental_assembly:
-        When True (default), the first model records a
-        :class:`~repro.thermal.assembly.NetworkBlueprint` and every
-        later deployment is replayed from it instead of rebuilt.
+
+    The first model records the package's
+    :class:`~repro.thermal.assembly.NetworkBlueprint`; every model of
+    the problem is instantiated from it.
 
     All solver/build instrumentation aggregates in
     :attr:`solver_stats`, a shared
@@ -72,7 +72,6 @@ class CoolingSystemProblem:
         name="unnamed",
         solver_mode="reuse",
         solver_cache_size=8,
-        incremental_assembly=True,
     ):
         self.grid = grid
         self.power_map = check_finite(power_map, "power_map")
@@ -102,7 +101,6 @@ class CoolingSystemProblem:
             )
         self.solver_mode = solver_mode
         self.solver_cache_size = solver_cache_size
-        self.incremental_assembly = bool(incremental_assembly)
         self.solver_stats = SolverStats()
         self._model_cache = {}
         self._blueprint = None
@@ -112,11 +110,11 @@ class CoolingSystemProblem:
         #: layouts, which take the exact single-die code path).
         self._layout = None
 
-    def configure_solver(self, *, mode=None, cache_size=None, incremental=None):
+    def configure_solver(self, *, mode=None, cache_size=None):
         """Reconfigure the solve engine; drops cached models/blueprints.
 
-        Keyword-only knobs mirror the constructor's ``solver_mode``,
-        ``solver_cache_size`` and ``incremental_assembly``.  Counters in
+        Keyword-only knobs mirror the constructor's ``solver_mode`` and
+        ``solver_cache_size``.  Counters in
         :attr:`solver_stats` are reset so runs under different
         configurations can be compared.  Returns ``self``.
         """
@@ -133,8 +131,6 @@ class CoolingSystemProblem:
                     "cache_size must be >= 1, got {}".format(cache_size)
                 )
             self.solver_cache_size = cache_size
-        if incremental is not None:
-            self.incremental_assembly = bool(incremental)
         self.solver_stats = SolverStats()
         self._model_cache = {}
         self._blueprint = None
@@ -147,8 +143,7 @@ class CoolingSystemProblem:
 
         The floorplan's rasterized worst-case power map becomes the
         power profile.  Extra keyword arguments (``solver_mode``,
-        ``solver_cache_size``, ``incremental_assembly``) are forwarded
-        to the constructor.
+        ``solver_cache_size``) are forwarded to the constructor.
         """
         if not isinstance(floorplan, Floorplan):
             raise TypeError(
@@ -220,12 +215,11 @@ class CoolingSystemProblem:
         """A :class:`PackageThermalModel` for a candidate deployment.
 
         Models are cached per deployment: the greedy loop revisits the
-        no-TEC model and monotonically growing tile sets, and model
-        construction dominates the cost of small instances.  With
-        ``incremental_assembly`` on, the first model records the shared
-        network blueprint and every later deployment is replayed from
-        it, so the per-round rebuild of the greedy loop skips the layer
-        physics entirely.
+        no-TEC model and monotonically growing tile sets.  The first
+        model records the package's network blueprint (once, as NumPy
+        arrays) and is instantiated from it; every later deployment
+        only instantiates the same blueprint, so the per-round rebuild
+        of the greedy loop never re-derives the layer physics.
         """
         key = tuple(sorted({int(t) for t in tec_tiles}))
         model = self._model_cache.get(key)
@@ -252,8 +246,7 @@ class CoolingSystemProblem:
                     solver_cache_size=self.solver_cache_size,
                     solver_stats=self.solver_stats,
                 )
-            if self.incremental_assembly and self._blueprint is None:
-                self._blueprint = model.network_blueprint()
+            self._blueprint = model._blueprint
             self._model_cache[key] = model
         return model
 
@@ -301,7 +294,6 @@ class CoolingSystemProblem:
             name=self.name,
             solver_mode=self.solver_mode,
             solver_cache_size=self.solver_cache_size,
-            incremental_assembly=self.incremental_assembly,
         )
         sibling._blueprint = self._blueprint
         sibling._layout = self._layout
@@ -324,7 +316,6 @@ class CoolingSystemProblem:
             name=self.name,
             solver_mode=solver_mode,
             solver_cache_size=self.solver_cache_size,
-            incremental_assembly=self.incremental_assembly,
         )
         sibling._blueprint = self._blueprint
         sibling._layout = self._layout

@@ -15,14 +15,14 @@ CoolingSystemProblem` (carrying its recorded
 * workers :func:`load` the segment on their first scenario of the
   geometry (attach, copy out, detach immediately — a crashed worker
   can never pin a segment) and seed their per-process problem cache
-  with the result, so every worker-side model build replays the
-  broadcast blueprint incrementally;
+  with the result, so every worker-side model build instantiates the
+  broadcast blueprint's arrays instead of recording its own;
 * the parent's refcounted registry unlinks each segment when its last
   :func:`release` lands, and an ``atexit`` sweep unlinks anything
   still registered, so no ``/dev/shm`` entry outlives the process
   even when a sweep dies mid-flight.
 
-Because blueprint replay is bit-identical to a fresh build, a worker
+Because instantiating a blueprint is bit-identical to a fresh build, a worker
 seeded over shared memory returns byte-for-byte the values it would
 have produced rebuilding from scratch — pinned by
 ``tests/sweep/test_shm.py``.
@@ -69,8 +69,8 @@ def publish(problem):
     """Publish a problem into a fresh shared-memory segment.
 
     Pickles the problem (live factorization handles are dropped by the
-    session layer's ``__getstate__`` — the blueprint and plain state
-    survive) and copies it into a new segment owned by this process.
+    session layer's ``__getstate__`` — the blueprint's arrays and plain
+    state survive) and copies it into a new segment owned by this process.
     Returns a :class:`SharedProblemHandle` with refcount 1; every
     handle must eventually be :func:`release`\\ d.
     """

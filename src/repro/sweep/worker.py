@@ -11,11 +11,11 @@ bad scenario cannot abort a sweep or poison the pool.
 Package geometries are cached per process: scenarios sharing a
 :meth:`~repro.sweep.spec.Scenario.geometry_key` share one
 :class:`~repro.core.problem.CoolingSystemProblem`, and through it one
-recorded :class:`~repro.thermal.assembly.NetworkBlueprint`, so a
-sweep over N deployments of one package pays the layer physics once
-per worker instead of N times.  Because blueprint replay is
-bit-identical to a fresh build (see ``thermal/assembly.py``) and every
-solve is deterministic, per-scenario results do not depend on which
+recorded :class:`~repro.thermal.assembly.NetworkBlueprint` (the
+package network as NumPy arrays), so a sweep over N deployments of one
+package records the layer physics once per worker instead of N times.
+Because instantiating a blueprint is bit-identical to a fresh build
+(see ``thermal/assembly.py``) and every solve is deterministic, per-scenario results do not depend on which
 scenarios a worker happened to run before — serial and process
 backends produce bit-identical reports.
 """
@@ -46,7 +46,7 @@ _OPTIMA = {}     # (geometry_key, limit_c, backend, tiles, method, tol)
 #: -> :class:`~repro.sweep.shm.SharedProblemHandle` published by the
 #: runner.  Consulted on a ``_GEOMETRY`` miss before building from the
 #: scenario payload; results are bit-identical either way (blueprint
-#: replay), the broadcast only removes the per-worker full build.
+#: instantiation), the broadcast only removes the per-worker recording.
 _SHARED_HANDLES = {}
 
 

@@ -43,7 +43,7 @@ from repro.tec.materials import (
     TecDeviceParameters,
     chowdhury_thin_film_tec,
 )
-from repro.tec.stamp import TecStamp, stamp_tec
+from repro.tec.stamp import TecStamp, stamp_conductances
 
 __all__ = [
     "TecArray",
@@ -56,7 +56,7 @@ __all__ = [
     "hot_side_flux",
     "input_power",
     "max_temperature_differential",
-    "stamp_tec",
+    "stamp_conductances",
     "system_efficiency_curve",
     "zero_cop_current",
 ]

@@ -14,15 +14,17 @@ device's two-node thermal model:
   conductance at the hot node, exactly as in Figure 4.
 
 The stamp does **not** decide where TECs go — that is the deployment
-problem (``repro.core.deploy``); it only writes one device into a
-:class:`~repro.thermal.network.ThermalNetwork`.
+problem (``repro.core.deploy``).  The package network records one
+stamp template per tile (see
+:meth:`~repro.thermal.assembly.NetworkBlueprint.add_stamp_section`) and
+stamps the deployed tiles when it is instantiated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.thermal.network import NodeRole
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -45,90 +47,23 @@ class TecStamp:
     device: object
 
 
-def stamp_tec(
-    network,
-    device,
-    *,
-    silicon_node,
-    spreader_node,
-    tile,
-    label=None,
-    cold_series_resistance=0.0,
-    hot_series_resistance=0.0,
-    cold_series_base=None,
-    lattice_tile=None,
-):
-    """Write one TEC device into ``network``.
+def stamp_conductances(device, *, cold_series_resistance=0.0,
+                       hot_series_resistance=0.0):
+    """Contact conductances ``(g_c, g_h)`` (W/K) of a stamped device.
 
-    Parameters
-    ----------
-    network:
-        The :class:`~repro.thermal.network.ThermalNetwork` under
-        construction.
-    device:
-        :class:`~repro.tec.materials.TecDeviceParameters`.
-    silicon_node:
-        Index of the silicon tile node the cold face contacts.
-    spreader_node:
-        Index of the spreader node the hot face contacts.
-    tile:
-        Flat tile index (recorded in node metadata and the stamp).
-    label:
-        Optional name prefix; defaults to ``tec[<tile>]``.
-    cold_series_resistance, hot_series_resistance:
-        Extra series resistances (K/W) between the device contacts and
-        the adjacent layer nodes — the die-exit and spreader-entry
-        resistances the TIM path the device replaces would also have
-        carried.  The package model supplies these so that covered and
-        uncovered tiles see consistent layer lumping.
-    cold_series_base:
-        The *unscaled* cold series resistance (K/W) — the die-exit
-        resistance before any per-tile die conductivity scale is
-        applied.  When the network records die-scale tags (see
-        :meth:`~repro.thermal.assembly.NetworkBlueprint.tag_die_scale`),
-        this lets blueprint replay recompute ``g_c`` under a different
-        scale field.
-    lattice_tile:
-        Tile index recorded in the node metadata for the multigrid
-        lattice placement, when it differs from ``tile``.  Composite
-        chiplet models deploy TECs by **global** flat index (that is
-        ``tile``, and it stays the stamp's identity) but place nodes on
-        the shared bounding lattice; single-die models leave this
-        ``None`` (the two indices coincide).
-
-    Returns
-    -------
-    TecStamp
+    ``cold_series_resistance`` / ``hot_series_resistance`` are extra
+    series resistances (K/W, scalars or per-tile arrays) between the
+    device contacts and the adjacent layer nodes — the die-exit and
+    spreader-entry resistances the TIM path the device replaces would
+    also have carried, so covered and uncovered tiles see consistent
+    layer lumping.  The film conduction ``kappa``, the Joule
+    coefficients ``r / 2`` and the Peltier entries ``-/+ alpha`` are
+    the device's own parameters.
     """
-    prefix = label if label is not None else "tec[{}]".format(tile)
-    meta_tile = int(tile) if lattice_tile is None else int(lattice_tile)
-    cold = network.add_node(
-        "{}.cold".format(prefix), NodeRole.TEC_COLD, tile=meta_tile
-    )
-    hot = network.add_node(
-        "{}.hot".format(prefix), NodeRole.TEC_HOT, tile=meta_tile
-    )
-    if cold_series_resistance < 0.0 or hot_series_resistance < 0.0:
+    if np.any(np.asarray(cold_series_resistance) < 0.0) or np.any(
+        np.asarray(hot_series_resistance) < 0.0
+    ):
         raise ValueError("series resistances must be >= 0")
-    g_cold = 1.0 / (
-        1.0 / device.cold_contact_conductance + cold_series_resistance
-    )
-    g_hot = 1.0 / (
-        1.0 / device.hot_contact_conductance + hot_series_resistance
-    )
-    network.add_conductance(silicon_node, cold, g_cold)
-    tag = getattr(network, "tag_die_scale", None)
-    if tag is not None and cold_series_base is not None:
-        tag(
-            "stamp_cold",
-            (int(tile),),
-            (device.cold_contact_conductance, cold_series_base),
-        )
-    network.add_conductance(hot, spreader_node, g_hot)
-    network.add_conductance(cold, hot, device.thermal_conductance)
-    half_r = 0.5 * device.electrical_resistance
-    network.add_joule(cold, half_r)
-    network.add_joule(hot, half_r)
-    network.set_peltier(hot, +device.seebeck)
-    network.set_peltier(cold, -device.seebeck)
-    return TecStamp(tile=int(tile), hot_node=hot, cold_node=cold, device=device)
+    g_cold = 1.0 / (1.0 / device.cold_contact_conductance + cold_series_resistance)
+    g_hot = 1.0 / (1.0 / device.hot_contact_conductance + hot_series_resistance)
+    return g_cold, g_hot

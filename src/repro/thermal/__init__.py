@@ -31,7 +31,7 @@ from repro.thermal.materials import (
     Material,
 )
 from repro.thermal.model import PackageThermalModel, ThermalState
-from repro.thermal.network import NodeRole, ThermalNetwork
+from repro.thermal.network import NetworkNodes, NodeRole
 from repro.thermal.nonlinear import NonlinearSteadyState, silicon_conductivity_scale
 from repro.thermal.spreading import (
     package_peak_resistance_estimate,
@@ -51,6 +51,7 @@ __all__ = [
     "COPPER",
     "Layer",
     "Material",
+    "NetworkNodes",
     "NodeRole",
     "NonlinearSteadyState",
     "PackageStack",
@@ -60,7 +61,6 @@ __all__ = [
     "SolverStats",
     "SteadyStateSolver",
     "TIM",
-    "ThermalNetwork",
     "ThermalState",
     "TileGrid",
     "TransientSimulator",

@@ -1,7 +1,6 @@
 """Assembly of the nodal equations ``(G - i D) theta = p(i)``.
 
-Given a :class:`~repro.thermal.network.ThermalNetwork`, this module
-builds the matrices of Equation (4)/(5) of the paper:
+This module builds the matrices of Equation (4)/(5) of the paper:
 
 * ``G``: symmetric conductance matrix.  Off-diagonals are ``-g_kl``;
   diagonals are the sum of incident conductances *including* the
@@ -14,27 +13,25 @@ builds the matrices of Equation (4)/(5) of the paper:
   ``g_ground * theta_ambient``, and ``joule`` carries the TEC
   ``r/2`` coefficients.
 
-The module also provides :class:`NetworkBlueprint`, the incremental
-assembly cache of the solve engine: the deployment-independent build
-stream of a package network (the ``G`` skeleton with every TIM tile
-present) is recorded once, together with per-tile TEC stamp templates,
-and any concrete deployment is then *replayed* — TIM nodes of covered
-tiles dropped, stamp deltas inserted — without re-deriving any layer
-physics.  Replay emits the exact same builder-call stream the direct
-build would, in the same order, so the assembled matrices are bitwise
-identical.
+A package network is recorded once, as NumPy arrays, in a
+:class:`NetworkBlueprint`: every node of the package with every TIM
+tile present, the conductance edge list in build order, the ground,
+source and Joule terms, and one TEC stamp template vectorized over all
+tiles.  :meth:`NetworkBlueprint.instantiate` turns it into the
+:class:`AssembledSystem` of any deployment with a handful of array
+operations — no per-element Python.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.linalg.multigrid import LatticeGeometry
-from repro.thermal.network import NodeRole, ThermalNetwork
+from repro.tec.stamp import TecStamp, stamp_conductances
+from repro.thermal.network import ROLE_CODES, ROLES, NetworkNodes, NodeRole
 from repro.utils import celsius_to_kelvin
 
 #: Node roles that live on the tile lattice, with the layer id each
@@ -52,40 +49,41 @@ _LATTICE_LAYERS = {
     NodeRole.SINK: 5,
     NodeRole.INTERPOSER: 6,
 }
+_LAYER_OF_CODE = np.array([_LATTICE_LAYERS.get(role, -1) for role in ROLES])
+
+#: Edge kinds: plain conductances, and the two whose value depends on
+#: the per-tile die conductivity scale (die lateral edges, die-to-TIM
+#: verticals).  The third scale-bound value, a TEC's cold contact, lives
+#: in the stamp template.
+PLAIN, DIE_LATERAL, DIE_TIM = 0, 1, 2
 
 
-def extract_lattice(network, grid_shape):
-    """Map a package network onto a :class:`LatticeGeometry`.
+def extract_lattice(roles, tiles, grid_shape):
+    """Map a network's nodes onto a :class:`LatticeGeometry`.
 
-    Every node of a gridded role carrying a ``tile`` meta entry is
-    placed at (layer-of-role, tile); everything else — periphery
-    rings, lumped extras — stays off-lattice (``-1``) and rides
-    through the multigrid coarsening as singleton aggregates.  A
-    duplicate (layer, tile) claim keeps the first node and demotes the
-    rest off-lattice, so irregular future stacks degrade gracefully
-    instead of corrupting the stencil.
+    ``roles`` are role codes and ``tiles`` lattice tiles per node (see
+    :class:`~repro.thermal.network.NetworkNodes`).  Every node of a
+    gridded role with a tile inside the grid is placed at
+    (layer-of-role, tile); everything else — periphery rings, lumped
+    extras — stays off-lattice (``-1``) and rides through the
+    multigrid coarsening as singleton aggregates.  A duplicate
+    (layer, tile) claim keeps the first node and demotes the rest
+    off-lattice, so irregular future stacks degrade gracefully instead
+    of corrupting the stencil.
     """
     rows, cols = int(grid_shape[0]), int(grid_shape[1])
-    n = network.num_nodes
-    layer = np.full(n, -1, dtype=np.int64)
-    tile = np.full(n, -1, dtype=np.int64)
-    seen = set()
-    for index, node in enumerate(network.nodes):
-        layer_id = _LATTICE_LAYERS.get(node.role)
-        if layer_id is None:
-            continue
-        tile_index = node.meta.get("tile")
-        if tile_index is None:
-            continue
-        tile_index = int(tile_index)
-        if not 0 <= tile_index < rows * cols:
-            continue
-        key = (layer_id, tile_index)
-        if key in seen:
-            continue
-        seen.add(key)
-        layer[index] = layer_id
-        tile[index] = tile_index
+    size = rows * cols
+    layer = _LAYER_OF_CODE[roles].astype(np.int64)
+    tile = np.asarray(tiles, dtype=np.int64).copy()
+    placed = (layer >= 0) & (tile >= 0) & (tile < size)
+    key = np.where(placed, layer * size + tile, 0)
+    claims = np.bincount(key[placed], minlength=1)
+    if claims.max(initial=0) > 1:
+        first = np.full(claims.size, layer.size)
+        np.minimum.at(first, key[placed], np.flatnonzero(placed))
+        placed &= first[key] == np.arange(layer.size)
+    layer[~placed] = -1
+    tile[~placed] = -1
     return LatticeGeometry(rows=rows, cols=cols, layer=layer, tile=tile)
 
 
@@ -107,11 +105,14 @@ class AssembledSystem:
         Ambient temperature (Kelvin) folded into ``p_base``.
     lattice:
         Optional :class:`~repro.linalg.multigrid.LatticeGeometry`
-        describing the layered tile-lattice placement of the nodes;
-        present when :func:`assemble` was given the grid shape.  The
-        ``mg`` backend coarsens geometrically and applies the operator
-        matrix-free through it; without it multigrid falls back to
-        algebraic pairwise aggregation.
+        describing the layered tile-lattice placement of the nodes.
+        The ``mg`` backend coarsens geometrically and applies the
+        operator matrix-free through it; without it multigrid falls
+        back to algebraic pairwise aggregation.
+    ground:
+        Per-node conductance to the ambient source (W/K); the heat
+        convected out of a state ``theta`` is
+        ``ground @ (theta - ambient_k)``.
     """
 
     g_matrix: sp.csc_matrix
@@ -120,6 +121,7 @@ class AssembledSystem:
     joule: np.ndarray
     ambient_k: float
     lattice: LatticeGeometry | None = None
+    ground: np.ndarray | None = None
 
     @property
     def num_nodes(self):
@@ -177,298 +179,324 @@ class AssembledSystem:
         return self.p_base + current * current * self.joule
 
 
-#: Event tags of the blueprint stream.
-_NODE, _COND, _GROUND, _SOURCE, _JOULE, _PELTIER, _STAMPS = range(7)
+def _check_nodes(nodes, num_nodes, name):
+    nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= num_nodes):
+        raise IndexError("{} out of range [0, {})".format(name, num_nodes))
+    return nodes
+
+
+def _check_values(values, shape, name, *, positive):
+    values = np.broadcast_to(np.asarray(values, dtype=float), shape)
+    bad = ~np.isfinite(values) | ((values <= 0.0) if positive else (values < 0.0))
+    if np.any(bad):
+        raise ValueError(
+            "{} must be {} finite numbers, got {!r}".format(
+                name, "positive" if positive else "non-negative",
+                float(values[bad][0]),
+            )
+        )
+    return values
 
 
 class NetworkBlueprint:
-    """Deployment-independent recording of a package network build.
+    """A package network recorded once as NumPy arrays.
 
-    The model builder runs once against this object exactly as it
-    would against a :class:`~repro.thermal.network.ThermalNetwork`,
-    with *every* TIM tile present and no TEC stamped; the stream of
-    builder calls is recorded verbatim.  TEC stamp deltas are recorded
-    separately, one template per tile, between
-    :meth:`begin_stamp_template` / :meth:`end_stamp_template`, and
-    :meth:`mark_stamp_section` marks where stamps belong in the stream.
+    The model builders record, in build order:
 
-    :meth:`instantiate` then replays the stream for a concrete
-    deployment: TIM nodes of covered tiles (and every component
-    incident to them) are skipped, surviving node indices are renumbered
-    in stream order, and the covered tiles' stamp templates are emitted
-    at the marker.  Because the replayed call sequence is identical to
-    what a from-scratch build of the same deployment produces, the
-    assembled system is bitwise identical — only the repeated layer
-    physics and node bookkeeping are skipped.
+    * nodes by role with their lattice ``tile`` (TIM nodes also with
+      the ``cover_tile`` whose TEC displaces them) and the periphery
+      ring nodes with their names and footprint areas;
+    * the conductance edge list ``(a, b, g)``, each edge with a kind
+      and tile payload when its value depends on the die conductivity
+      scale (:data:`DIE_LATERAL`, :data:`DIE_TIM`);
+    * ground conductances and constant heat sources;
+    * the **stamp section**: a marker at the current node and edge
+      counts, plus one TEC stamp template vectorized over all tiles
+      (2 nodes, 3 edges, 2 Joule and 2 Peltier entries per tile).
 
-    Conductances that depend on the per-tile die conductivity scale
-    (die lateral edges, die-to-TIM verticals, TEC cold contacts) are
-    *tagged* during recording via :meth:`tag_die_scale` with their
-    unscaled ingredients; :meth:`instantiate` can then replay the same
-    blueprint under a **different** ``die_conductivity_scale``,
-    recomputing exactly those values with the builder's own formulas —
-    still bitwise identical to a from-scratch build with that scale.
-    This is what lets the nonlinear fixed-point iteration update the
-    scale field without reconstructing the model each pass.
+    Every TIM tile is present and no TEC is stamped; values are
+    recorded at unit die conductivity scale.  :meth:`instantiate` then
+    assembles any deployment: TIM nodes of covered tiles and their
+    edges are masked out, nodes renumbered by a cumulative sum, the
+    covered tiles' stamp rows inserted at the marker in sorted tile
+    order, and the matrices formed with sequential ``np.bincount``.
+    Node order, edge order and the order of every per-node summation
+    equal those of an element-by-element build of the same deployment,
+    so the result is bitwise identical to one.
     """
 
-    def __init__(self):
-        self._events = []
-        self._event_tags = {}
-        self._templates = {}
-        self._template = None
-        self._template_tags = None
-        self._template_tile = None
+    def __init__(self, *, num_tiles, lattice_shape, ambient_c, naming=None):
+        self.num_tiles = int(num_tiles)
+        self.lattice_shape = (int(lattice_shape[0]), int(lattice_shape[1]))
+        self.ambient_c = float(ambient_c)
+        self._naming = dict(naming or {})
         self._num_nodes = 0
-        self._tim_node_tile = {}
-        self._has_marker = False
+        self._chunks = {key: [] for key in (
+            "roles", "tiles", "edge_a", "edge_b", "edge_g", "edge_kind",
+            "edge_tile_a", "edge_tile_b", "ground_node", "ground_g",
+            "source_node", "source_p",
+        )}
+        self._num_edges = 0
+        self._rings = {}
+        self._tim_node = np.full(self.num_tiles, -1, dtype=np.int64)
+        self._die_exit = None
+        self._stamp = None
+        self._frozen = False
 
     # ------------------------------------------------------------------
-    # Builder API (duck-compatible with ThermalNetwork)
+    # Recording
     # ------------------------------------------------------------------
 
-    def add_node(self, name, role=NodeRole.OTHER, **meta):
-        if self._template is not None:
-            token = -(1 + sum(1 for e in self._template if e[0] == _NODE))
-            self._template.append((_NODE, token, str(name), role, meta))
-            return token
-        index = self._num_nodes
-        self._num_nodes += 1
-        if role is NodeRole.TIM:
-            # The tile whose TEC coverage displaces this TIM node.  On
-            # a composite layout the node's ``tile`` meta is its
-            # *bounding-lattice* placement while deployments key on
-            # the *global* flat index, carried as ``cover_tile``; on
-            # the single-die package the two coincide.
-            self._tim_node_tile[index] = int(
-                meta.get("cover_tile", meta.get("tile", -1))
-            )
-        self._events.append((_NODE, index, str(name), role, meta))
-        return index
+    def _append(self, **arrays):
+        if self._frozen:
+            raise RuntimeError("blueprint is frozen; it has been instantiated")
+        for key, value in arrays.items():
+            self._chunks[key].append(value)
 
-    def _sink(self):
-        return self._events if self._template is None else self._template
+    def add_nodes(self, role, tiles, *, cover_tiles=None):
+        """Add one node of ``role`` per entry of ``tiles``.
 
-    def add_conductance(self, a, b, conductance):
-        self._sink().append((_COND, a, b, float(conductance)))
-
-    def add_ground_conductance(self, node, conductance):
-        self._sink().append((_GROUND, node, float(conductance)))
-
-    def add_source(self, node, power):
-        self._sink().append((_SOURCE, node, float(power)))
-
-    def add_joule(self, node, coefficient):
-        self._sink().append((_JOULE, node, float(coefficient)))
-
-    def set_peltier(self, node, alpha_signed):
-        self._sink().append((_PELTIER, node, float(alpha_signed)))
-
-    def tag_die_scale(self, kind, tiles, payload):
-        """Tag the last recorded event as die-conductivity-scale bound.
-
-        ``kind`` names the builder formula (``"die_lateral"``,
-        ``"die_tim"`` or ``"stamp_cold"``), ``tiles`` the flat tile
-        indices whose scale entries feed it, and ``payload`` the
-        *unscaled* ingredients; :meth:`instantiate` recomputes the
-        tagged value from these when replaying under a different
-        ``die_conductivity_scale``.  Builders call this through
-        ``getattr(net, "tag_die_scale", None)``, so a plain
-        :class:`~repro.thermal.network.ThermalNetwork` (which has no
-        tagging) records nothing.
+        ``tiles`` are the nodes' bounding-lattice tiles; for TIM nodes
+        ``cover_tiles`` names the deployable (global flat) tile whose
+        TEC displaces each node.  Returns the new node indices.
         """
-        sink = self._events if self._template is None else self._template
-        if not sink:
-            raise RuntimeError("no event recorded yet to tag")
-        tags = self._event_tags if self._template is None else self._template_tags
-        tags[len(sink) - 1] = (str(kind), tuple(int(t) for t in tiles), payload)
+        tiles = np.asarray(tiles, dtype=np.int64)
+        nodes = np.arange(self._num_nodes, self._num_nodes + tiles.size)
+        self._append(roles=np.full(tiles.size, ROLE_CODES[role], dtype=np.int8),
+                     tiles=tiles)
+        if cover_tiles is not None:
+            self._tim_node[np.asarray(cover_tiles, dtype=np.int64)] = nodes
+        self._num_nodes += tiles.size
+        return nodes
 
-    # ------------------------------------------------------------------
-    # Recording structure
-    # ------------------------------------------------------------------
+    def add_ring(self, name, role, area):
+        """Add one off-lattice periphery node; returns its index."""
+        node = self._num_nodes
+        self._append(roles=np.array([ROLE_CODES[role]], dtype=np.int8),
+                     tiles=np.array([-1], dtype=np.int64))
+        self._rings[node] = (str(name), float(area))
+        self._num_nodes += 1
+        return node
 
-    def mark_stamp_section(self):
-        """Mark the point of the stream where TEC stamps are inserted."""
-        if self._has_marker:
-            raise RuntimeError("stamp section already marked")
-        self._events.append((_STAMPS,))
-        self._has_marker = True
+    def set_die_exit(self, r_die_exit, tim_half):
+        """The unscaled die exit and TIM half resistances (K/W).
 
-    def begin_stamp_template(self, tile):
-        """Start recording the stamp delta of ``tile``."""
-        if self._template is not None:
-            raise RuntimeError("a stamp template is already being recorded")
-        if tile in self._templates:
-            raise ValueError("tile {} already has a stamp template".format(tile))
-        self._template = []
-        self._template_tags = {}
-        self._template_tile = int(tile)
+        The payload of the die-scale bound values: a :data:`DIE_TIM`
+        edge is ``1 / (r_die_exit / s + tim_half)`` and a TEC's cold
+        contact ``1 / (1 / g_c + r_die_exit / s)`` at die scale ``s``.
+        """
+        self._die_exit = (float(r_die_exit), float(tim_half))
 
-    def end_stamp_template(self, stamp):
-        """Finish the active template; ``stamp`` is the token-valued
-        :class:`~repro.tec.stamp.TecStamp` returned by ``stamp_tec``."""
-        if self._template is None:
-            raise RuntimeError("no stamp template is being recorded")
-        self._templates[self._template_tile] = (
-            self._template, stamp, self._template_tags
+    def add_conductances(self, a, b, g, *, kind=None, tile_a=None, tile_b=None):
+        """Add conductances ``g`` (W/K) between nodes ``a`` and ``b``.
+
+        ``kind`` (per edge, default plain) marks die-scale bound edges;
+        ``tile_a`` / ``tile_b`` carry the tiles whose scale feeds them.
+        """
+        a, b = np.broadcast_arrays(
+            _check_nodes(a, self._num_nodes, "conductance endpoint a"),
+            _check_nodes(b, self._num_nodes, "conductance endpoint b"),
         )
-        self._template = None
-        self._template_tags = None
+        if np.any(a == b):
+            raise ValueError("conductance endpoints must differ")
+        g = _check_values(g, a.shape, "conductance", positive=True)
+        minus = np.full(a.shape, -1, dtype=np.int64)
+        self._append(
+            edge_a=a, edge_b=b, edge_g=np.array(g),
+            edge_kind=np.broadcast_to(
+                np.asarray(PLAIN if kind is None else kind, dtype=np.int8), a.shape
+            ),
+            edge_tile_a=minus if tile_a is None else np.broadcast_to(tile_a, a.shape),
+            edge_tile_b=minus if tile_b is None else np.broadcast_to(tile_b, a.shape),
+        )
+        self._num_edges += a.size
 
-    @property
-    def num_tiles_templated(self):
-        return len(self._templates)
+    def add_ground(self, nodes, g):
+        """Add conductances ``g`` (W/K) from ``nodes`` to the ambient."""
+        nodes = _check_nodes(nodes, self._num_nodes, "ground node")
+        g = _check_values(g, nodes.shape, "ground conductance", positive=True)
+        self._append(ground_node=nodes, ground_g=np.array(g))
+
+    def add_sources(self, nodes, power):
+        """Add constant heat sources (W, >= 0); zero entries are dropped."""
+        nodes = _check_nodes(nodes, self._num_nodes, "source node")
+        power = _check_values(power, nodes.shape, "power", positive=False)
+        keep = power > 0.0
+        self._append(source_node=nodes[keep], source_p=np.array(power[keep]))
+
+    def add_stamp_section(self, device, *, silicon, spreader, tiles,
+                          hot_series_resistance):
+        """Mark the stamp section and record the TEC stamp template.
+
+        ``silicon`` / ``spreader`` / ``tiles`` give, per deployable tile
+        (global flat order), the silicon and spreader nodes a TEC there
+        contacts and the lattice tile its two nodes sit on.  The cold
+        contact carries the die exit resistance in series (see
+        :meth:`set_die_exit`), the hot contact ``hot_series_resistance``
+        — the lumping the TIM path a device replaces would also carry.
+        """
+        if self._stamp is not None:
+            raise RuntimeError("stamp section already recorded")
+        if self._die_exit is None:
+            raise RuntimeError("set_die_exit must precede the stamp section")
+        silicon = _check_nodes(silicon, self._num_nodes, "stamp silicon node")
+        spreader = _check_nodes(spreader, self._num_nodes, "stamp spreader node")
+        if silicon.shape != (self.num_tiles,) or spreader.shape != silicon.shape:
+            raise ValueError("stamp template needs one entry per tile")
+        g_cold, g_hot = stamp_conductances(
+            device,
+            cold_series_resistance=self._die_exit[0],
+            hot_series_resistance=hot_series_resistance,
+        )
+        self._stamp = {
+            "device": device,
+            "nodes_at": self._num_nodes,
+            "edges_at": self._num_edges,
+            "silicon": silicon,
+            "spreader": spreader,
+            "tiles": np.asarray(tiles, dtype=np.int64),
+            "g_cold": g_cold,
+            "g_hot": g_hot,
+        }
+
+    def _freeze(self):
+        if self._frozen:
+            return
+        if self._stamp is None:
+            raise RuntimeError("blueprint has no stamp section")
+        if np.any(self._tim_node < 0):
+            raise RuntimeError("every deployable tile needs a TIM node")
+        empty = {"roles": np.int8, "edge_kind": np.int8, "edge_g": float,
+                 "ground_g": float, "source_p": float}
+        for key, chunks in self._chunks.items():
+            setattr(self, "_" + key, np.concatenate(
+                chunks if chunks else [np.empty(0, empty.get(key, np.int64))]
+            ))
+        self._chunks = None
+        self._lateral = np.flatnonzero(self._edge_kind == DIE_LATERAL)
+        self._die_tim = np.flatnonzero(self._edge_kind == DIE_TIM)
+        del self._edge_kind
+        self._frozen = True
 
     # ------------------------------------------------------------------
-    # Replay
+    # Instantiation
     # ------------------------------------------------------------------
 
     def instantiate(self, tec_tiles, die_conductivity_scale=None):
-        """Replay the recorded build for a concrete deployment.
+        """Assemble the network of one deployment.
 
-        Returns ``(network, stamps)`` — a populated
-        :class:`~repro.thermal.network.ThermalNetwork` and the list of
-        :class:`~repro.tec.stamp.TecStamp` records with real node
-        indices, ordered by tile.
+        Returns ``(system, stamps, nodes)``: the
+        :class:`AssembledSystem`, the
+        :class:`~repro.tec.stamp.TecStamp` records ordered by tile and
+        the :class:`~repro.thermal.network.NetworkNodes` view.
 
-        When ``die_conductivity_scale`` is given (per-tile positive
-        factors, flat row-major), every conductance tagged via
-        :meth:`tag_die_scale` is recomputed from its unscaled payload
-        under that scale field instead of replaying the recorded value
-        — bitwise identical to building the same deployment from
-        scratch with the same scale.
+        ``die_conductivity_scale`` (per-tile positive factors, flat
+        row-major) recomputes every die-scale bound value with the
+        builder's float expressions; ``None`` is unit scale.
         """
-        if self._template is not None:
-            raise RuntimeError("cannot instantiate while recording a template")
-        if not self._has_marker:
-            raise RuntimeError("blueprint has no stamp section marker")
-        covered = {int(t) for t in tec_tiles}
-        missing = covered - set(self._templates)
-        if missing:
+        self._freeze()
+        covered = np.unique(np.asarray(list(tec_tiles), dtype=np.int64))
+        if covered.size and (covered[0] < 0 or covered[-1] >= self.num_tiles):
             raise ValueError(
-                "no stamp template for tiles {}".format(sorted(missing))
+                "TEC tiles out of range [0, {})".format(self.num_tiles)
             )
+        stamp = self._stamp
+        k, base_nodes, at = covered.size, self._num_nodes, stamp["nodes_at"]
+
+        # Nodes: drop covered TIM tiles, open 2k slots at the marker.
+        keep = np.ones(base_nodes, dtype=bool)
+        keep[self._tim_node[covered]] = False
+        new = np.cumsum(keep) - 1
+        kept_core = int(new[at - 1]) + 1 if at else 0
+        new[at:] += 2 * k
+        new[~keep] = -1
+        n = base_nodes + k
+        cold = kept_core + 2 * np.arange(k, dtype=np.int64)
+        hot = cold + 1
+
+        # Edges: the recorded list minus edges into dropped nodes, the
+        # stamp rows spliced in at the marker.
+        g = self._edge_g
         scale = None
         if die_conductivity_scale is not None:
             scale = np.asarray(die_conductivity_scale, dtype=float)
-        net = ThermalNetwork()
-        index = {}
-        stamps = []
-        for position, event in enumerate(self._events):
-            kind = event[0]
-            if kind == _NODE:
-                _, bare, name, role, meta = event
-                tile = self._tim_node_tile.get(bare)
-                if tile is not None and tile in covered:
-                    index[bare] = None
-                else:
-                    index[bare] = net.add_node(name, role, **meta)
-            elif kind == _STAMPS:
-                for tile in sorted(covered):
-                    stamps.append(
-                        self._replay_template(net, tile, index, scale)
-                    )
-            else:
-                value = None
-                if scale is not None:
-                    tag = self._event_tags.get(position)
-                    if tag is not None:
-                        value = self._scaled_value(tag, scale)
-                self._apply(net, event, index, value)
-        return net, stamps
+            g = g.copy()
+            lateral = self._lateral
+            sa = scale[self._edge_tile_a[lateral]]
+            sb = scale[self._edge_tile_b[lateral]]
+            g[lateral] = g[lateral] * (2.0 * sa * sb / (sa + sb))
+            r_die_exit, tim_half = self._die_exit
+            die_tim = self._die_tim
+            g[die_tim] = 1.0 / (
+                r_die_exit / scale[self._edge_tile_a[die_tim]] + tim_half
+            )
+        g_cold = np.broadcast_to(stamp["g_cold"], k)
+        if scale is not None:
+            g_cold = stamp_conductances(
+                stamp["device"],
+                cold_series_resistance=self._die_exit[0] / scale[covered],
+            )[0]
+        a, b = new[self._edge_a], new[self._edge_b]
+        live = (a >= 0) & (b >= 0)
+        split = stamp["edges_at"]
+        device = stamp["device"]
 
-    @staticmethod
-    def _scaled_value(tag, scale):
-        """Recompute a tagged conductance under a scale field.
+        def splice(recorded, *stamped):
+            # Per stamped tile: silicon-cold, hot-spreader, cold-hot.
+            return np.concatenate([
+                recorded[:split][live[:split]],
+                np.stack(np.broadcast_arrays(*stamped), axis=1).ravel(),
+                recorded[split:][live[split:]],
+            ])
 
-        Each branch repeats the exact float expression of the builder
-        that recorded the tag (``PackageThermalModel._build_core`` /
-        ``stamp_tec``), so replay stays bitwise identical to a direct
-        build — including for an all-ones scale, since ``x * 1.0 == x``
-        and ``r / 1.0 == r`` exactly.
-        """
-        kind, tiles, payload = tag
-        if kind == "die_lateral":
-            sa, sb = scale[tiles[0]], scale[tiles[1]]
-            return payload * (2.0 * sa * sb / (sa + sb))
-        if kind == "die_tim":
-            r_die_exit, tim_half = payload
-            return 1.0 / (r_die_exit / scale[tiles[0]] + tim_half)
-        if kind == "stamp_cold":
-            g_contact, r_die_exit = payload
-            return 1.0 / (1.0 / g_contact + r_die_exit / scale[tiles[0]])
-        raise ValueError("unknown die-scale tag kind {!r}".format(kind))
+        silicon = new[stamp["silicon"][covered]]
+        spreader = new[stamp["spreader"][covered]]
+        edge_a = splice(a, silicon, hot, cold)
+        edge_b = splice(b, cold, spreader, hot)
+        edge_g = splice(g, g_cold, stamp["g_hot"], device.thermal_conductance)
 
-    def _apply(self, net, event, index, value=None):
-        kind = event[0]
-        if kind == _COND:
-            a, b = index[event[1]], index[event[2]]
-            if a is None or b is None:
-                return
-            net.add_conductance(a, b, event[3] if value is None else value)
-            return
-        node = index[event[1]]
-        if node is None:
-            return
-        if kind == _GROUND:
-            net.add_ground_conductance(node, event[2])
-        elif kind == _SOURCE:
-            net.add_source(node, event[2])
-        elif kind == _JOULE:
-            net.add_joule(node, event[2])
-        elif kind == _PELTIER:
-            net.set_peltier(node, event[2])
+        joule = np.zeros(n)
+        d_diagonal = np.zeros(n)
+        joule[cold] = joule[hot] = 0.5 * device.electrical_resistance
+        d_diagonal[hot] = +device.seebeck
+        d_diagonal[cold] = -device.seebeck
 
-    def _replay_template(self, net, tile, index, scale=None):
-        events, stamp, tags = self._templates[tile]
-        local = {}
-
-        def resolve(token):
-            return local[token] if token < 0 else index[token]
-
-        for position, event in enumerate(events):
-            kind = event[0]
-            if kind == _NODE:
-                _, token, name, role, meta = event
-                local[token] = net.add_node(name, role, **meta)
-            elif kind == _COND:
-                value = event[3]
-                if scale is not None:
-                    tag = tags.get(position)
-                    if tag is not None:
-                        value = self._scaled_value(tag, scale)
-                net.add_conductance(resolve(event[1]), resolve(event[2]), value)
-            elif kind == _GROUND:
-                net.add_ground_conductance(resolve(event[1]), event[2])
-            elif kind == _SOURCE:
-                net.add_source(resolve(event[1]), event[2])
-            elif kind == _JOULE:
-                net.add_joule(resolve(event[1]), event[2])
-            elif kind == _PELTIER:
-                net.set_peltier(resolve(event[1]), event[2])
-        return dataclasses.replace(
-            stamp,
-            hot_node=resolve(stamp.hot_node),
-            cold_node=resolve(stamp.cold_node),
+        roles = np.empty(n, dtype=np.int8)
+        roles[new[keep]] = self._roles[keep]
+        roles[cold] = ROLE_CODES[NodeRole.TEC_COLD]
+        roles[hot] = ROLE_CODES[NodeRole.TEC_HOT]
+        tiles = np.empty(n, dtype=np.int64)
+        tiles[new[keep]] = self._tiles[keep]
+        tiles[cold] = tiles[hot] = stamp["tiles"][covered]
+        nodes = NetworkNodes(
+            roles, tiles,
+            {int(new[node]): ring for node, ring in self._rings.items()},
+            **self._naming,
         )
+        system = _assemble(
+            n, edge_a, edge_b, edge_g,
+            new[self._ground_node], self._ground_g,
+            new[self._source_node], self._source_p,
+            joule, d_diagonal,
+            celsius_to_kelvin(self.ambient_c),
+            extract_lattice(roles, tiles, self.lattice_shape),
+        )
+        stamps = [
+            TecStamp(tile=int(tile), hot_node=int(h), cold_node=int(c), device=device)
+            for tile, h, c in zip(covered, hot, cold)
+        ]
+        return system, stamps, nodes
 
 
-def assemble(network, ambient_c, grid_shape=None):
-    """Assemble an :class:`AssembledSystem` from a network.
+def _assemble(n, a, b, g, ground_nodes, ground_g, source_nodes, source_p,
+              joule, d_diagonal, ambient_k, lattice):
+    """Form ``G`` and ``p_base`` from edge, ground and source arrays.
 
-    Parameters
-    ----------
-    network:
-        A populated :class:`~repro.thermal.network.ThermalNetwork`.
-    ambient_c:
-        Ambient temperature in Celsius (folded into ``p_base`` as
-        ``g_ground * theta_ambient`` with the ambient in Kelvin).
-    grid_shape:
-        Optional ``(rows, cols)`` tile-grid shape.  When given, the
-        node placement is captured as a
-        :class:`~repro.linalg.multigrid.LatticeGeometry` on
-        :attr:`AssembledSystem.lattice` so the ``mg`` backend can
-        coarsen geometrically and run its matrix-free stencil.
+    ``np.bincount`` adds its weights in array order, so the diagonal
+    sums each node's incident conductances in edge order and then its
+    ground conductance, and ``p_base`` its sources and then the ambient
+    term — the summation order of an element-wise build.
 
     Raises
     ------
@@ -476,52 +504,27 @@ def assemble(network, ambient_c, grid_shape=None):
         If the network is empty or no node is grounded (the steady
         state would be unbounded — heat would have nowhere to go).
     """
-    n = network.num_nodes
     if n == 0:
         raise ValueError("cannot assemble an empty network")
-    ground = dict(network.ground_items())
-    if not ground:
+    if ground_nodes.size == 0:
         raise ValueError(
             "network has no conductance to ambient; the steady state is undefined"
         )
-    ambient_k = celsius_to_kelvin(ambient_c)
-
-    diagonal = np.zeros(n)
-    rows, cols, data = [], [], []
-    for (a, b), conductance in network.conductance_items():
-        rows.extend((a, b))
-        cols.extend((b, a))
-        data.extend((-conductance, -conductance))
-        diagonal[a] += conductance
-        diagonal[b] += conductance
-    for node, conductance in ground.items():
-        diagonal[node] += conductance
-
-    rows.extend(range(n))
-    cols.extend(range(n))
-    data.extend(diagonal)
-    g_matrix = sp.csc_matrix(
-        sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-    )
-
-    p_base = np.zeros(n)
-    for node, power in network.source_items():
-        p_base[node] += power
-    for node, conductance in ground.items():
-        p_base[node] += conductance * ambient_k
-
-    joule = np.zeros(n)
-    for node, coefficient in network.joule_items():
-        joule[node] += coefficient
-
-    d_diagonal = np.zeros(n)
-    for node, alpha in network.peltier_items():
-        d_diagonal[node] = alpha
-
-    lattice = None
-    if grid_shape is not None:
-        lattice = extract_lattice(network, grid_shape)
-
+    ground = np.bincount(ground_nodes, weights=ground_g, minlength=n)
+    diagonal = np.bincount(
+        np.stack([a, b], axis=1).ravel(), weights=np.repeat(g, 2), minlength=n
+    ) + ground
+    diag = np.arange(n)
+    g_matrix = sp.csc_matrix(sp.coo_matrix(
+        (np.concatenate([-g, -g, diagonal]),
+         (np.concatenate([a, b, diag]), np.concatenate([b, a, diag]))),
+        shape=(n, n),
+    ))
+    if g_matrix.nnz != 2 * g.size + n:
+        # The conversion merged entries: some pair carries two edges,
+        # and its merged value would sum in a different order.
+        raise ValueError("a node pair carries two conductances; merge them")
+    p_base = np.bincount(source_nodes, weights=source_p, minlength=n) + ground * ambient_k
     return AssembledSystem(
         g_matrix=g_matrix,
         d_diagonal=d_diagonal,
@@ -529,4 +532,5 @@ def assemble(network, ambient_c, grid_shape=None):
         joule=joule,
         ambient_k=ambient_k,
         lattice=lattice,
+        ground=ground,
     )

@@ -133,6 +133,24 @@ class TileGrid:
                 if row < self.rows - 1:
                     yield flat, flat + self.cols, self.tile_height, self.tile_width
 
+    def lateral_pair_arrays(self):
+        """:meth:`iter_lateral_pairs` as arrays ``(a, b, east)``.
+
+        Same pairs in the same order (tile-major, the east pair of a
+        tile before its south pair); ``east`` is True where the pair
+        runs along a row (pitch ``tile_width``) and False for a south
+        pair (pitch ``tile_height``).
+        """
+        flat = np.arange(self.num_tiles, dtype=np.int64).reshape(self.rows, self.cols)
+        a = np.stack([flat, flat], axis=-1)
+        b = np.stack([flat + 1, flat + self.cols], axis=-1)
+        east = np.zeros_like(a, dtype=bool)
+        east[..., 0] = True
+        valid = np.ones_like(east)
+        valid[:, -1, 0] = False
+        valid[-1, :, 1] = False
+        return a[valid], b[valid], east[valid]
+
     def boundary_tiles(self, side):
         """Flat indices of the tiles on one side of the grid.
 
@@ -275,19 +293,38 @@ class CompositeGrid:
         chiplet = check_index(chiplet, "chiplet", self.num_chiplets)
         return self._block_offsets[chiplet] + self.grids[chiplet].flat_index(row, col)
 
+    def _maps(self):
+        """``(chiplet, lattice)`` per global flat tile, built once.
+
+        ``chiplet[flat]`` owns the tile and ``lattice[flat]`` is its
+        bounding-lattice flat index; both are cached on the instance.
+        """
+        maps = self.__dict__.get("_flat_maps")
+        if maps is None:
+            lattice = []
+            for grid, (row0, col0) in zip(self.grids, self.origins):
+                row, col = np.divmod(np.arange(grid.num_tiles), grid.cols)
+                lattice.append((row0 + row) * self.cols + (col0 + col))
+            chiplet = np.repeat(
+                np.arange(self.num_chiplets), [grid.num_tiles for grid in self.grids]
+            )
+            maps = (chiplet, np.concatenate(lattice))
+            for array in maps:
+                array.setflags(write=False)
+            object.__setattr__(self, "_flat_maps", maps)
+        return maps
+
     def locate(self, flat):
         """Inverse of :meth:`global_index`: ``(chiplet, row, col)``."""
         flat = check_index(flat, "flat", self.num_tiles)
-        for chiplet, grid in enumerate(self.grids):
-            offset = self._block_offsets[chiplet]
-            if flat < offset + grid.num_tiles:
-                row, col = grid.row_col(flat - offset)
-                return chiplet, row, col
-        raise AssertionError("unreachable: flat index within bounds")
+        chiplet = int(self._maps()[0][flat])
+        row, col = divmod(flat - self._block_offsets[chiplet], self.grids[chiplet].cols)
+        return chiplet, row, col
 
     def chiplet_of(self, flat):
         """Chiplet index owning global flat tile ``flat``."""
-        return self.locate(flat)[0]
+        flat = check_index(flat, "flat", self.num_tiles)
+        return int(self._maps()[0][flat])
 
     def iter_tiles(self):
         """Yield ``(flat, chiplet, row, col)`` in global flat order."""
@@ -351,9 +388,8 @@ class CompositeGrid:
 
     def lattice_index(self, flat):
         """Bounding-lattice flat index of global tile ``flat``."""
-        chiplet, row, col = self.locate(flat)
-        row0, col0 = self.origins[chiplet]
-        return (row0 + row) * self.cols + (col0 + col)
+        flat = check_index(flat, "flat", self.num_tiles)
+        return int(self._maps()[1][flat])
 
     def row_col(self, flat):
         """Bounding-lattice ``(row, col)`` of global tile ``flat``.
@@ -375,10 +411,7 @@ class CompositeGrid:
 
     def occupied_lattice_tiles(self):
         """Bounding flat index per global tile, length ``num_tiles``."""
-        return np.array(
-            [self.lattice_index(flat) for flat in range(self.num_tiles)],
-            dtype=np.int64,
-        )
+        return self._maps()[1].copy()
 
     def to_grid(self, flat_values):
         """Scatter a global flat vector onto the bounding lattice.

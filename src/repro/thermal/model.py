@@ -30,16 +30,33 @@ import numpy as np
 
 from repro.linalg.runaway import runaway_current as _runaway_current
 from repro.tec.materials import chowdhury_thin_film_tec
-from repro.tec.stamp import stamp_tec
-from repro.thermal.assembly import NetworkBlueprint, assemble
+from repro.thermal.assembly import DIE_LATERAL, DIE_TIM, PLAIN, NetworkBlueprint
 from repro.thermal.chiplet import ChipletLayout
 from repro.thermal.geometry import TileGrid
-from repro.thermal.network import NodeRole, ThermalNetwork
+from repro.thermal.network import NodeRole
 from repro.thermal.solve import SolverStats, SteadyStateSolver
 from repro.thermal.stack import PackageStack
 from repro.utils import check_finite, kelvin_to_celsius
 
 _SIDES = ("north", "east", "south", "west")
+
+
+def _tile_major(num_tiles, *columns):
+    """Interleave per-tile columns (arrays or scalars) tile-major:
+    tile 0's entries, then tile 1's, ..."""
+    return np.stack(
+        [np.broadcast_to(column, num_tiles) for column in columns], axis=1
+    ).ravel()
+
+
+def _lateral(layer, grid, east):
+    """Lateral conductance of ``layer`` per pair of
+    :meth:`~repro.thermal.geometry.TileGrid.lateral_pair_arrays`."""
+    return np.where(
+        east,
+        layer.lateral_conductance(grid.tile_height, grid.tile_width),
+        layer.lateral_conductance(grid.tile_width, grid.tile_height),
+    )
 
 
 class ThermalState:
@@ -131,10 +148,10 @@ class PackageThermalModel:
         device).
     blueprint:
         Optional :class:`~repro.thermal.assembly.NetworkBlueprint`
-        recorded from a sibling model (same grid/stack/device/powers):
-        the network is then replayed incrementally instead of rebuilt
-        from scratch — bitwise-identical matrices, a fraction of the
-        build cost.  Obtain one via :meth:`network_blueprint`.
+        recorded by a sibling model (same grid/stack/device/powers):
+        the model is then instantiated from it instead of recording its
+        own — bitwise-identical matrices, none of the recording cost.
+        Obtain one via :meth:`network_blueprint`.
     solver_mode / solver_cache_size:
         Engine knobs forwarded to
         :class:`~repro.thermal.solve.SteadyStateSolver` — any of
@@ -209,38 +226,34 @@ class PackageThermalModel:
         self._init_engine(blueprint, solver_mode, solver_cache_size, solver_stats)
 
     def _init_engine(self, blueprint, solver_mode, solver_cache_size, solver_stats):
-        """Build (or replay) the network and boot the solve engine.
+        """Record (or reuse) the blueprint, instantiate it, boot the solver.
 
         Shared tail of the constructor; :class:`CompositeThermalModel`
         reuses it after its own geometry setup, so both model kinds
-        ride one build/assemble/solver pipeline.
+        ride one record/instantiate/solver pipeline.  A model given no
+        blueprint records one (a full build); a model given one only
+        instantiates it (an incremental build).  ``assembly_time_s``
+        covers recording, instantiation and assembly.
         """
         stats = solver_stats if solver_stats is not None else SolverStats()
-        self._blueprint = blueprint
         self._solver_mode = solver_mode
         self._solver_cache_size = solver_cache_size
         build_start = time.perf_counter()
         if blueprint is None:
-            self.network = ThermalNetwork()
-            self.stamps = []
-            self._build_network()
+            blueprint = self.network_blueprint()
             stats.full_builds += 1
         else:
-            self.network, self.stamps = blueprint.instantiate(
-                self.tec_tiles, die_conductivity_scale=self._die_k_scale
-            )
             stats.incremental_builds += 1
-        self.system = assemble(
-            self.network,
-            self.stack.ambient_c,
-            grid_shape=(self.grid.rows, self.grid.cols),
+        self._blueprint = blueprint
+        self.system, self.stamps, self.nodes = blueprint.instantiate(
+            self.tec_tiles, die_conductivity_scale=self._die_k_scale
         )
         stats.assembly_time_s += time.perf_counter() - build_start
         self.solver = SteadyStateSolver(
             self.system, solver_cache_size, mode=solver_mode, stats=stats
         )
 
-        self.silicon_nodes = self.network.indices_with_role(NodeRole.SILICON)
+        self.silicon_nodes = self.nodes.indices_with_role(NodeRole.SILICON).tolist()
         self.hot_nodes = [stamp.hot_node for stamp in self.stamps]
         self.cold_nodes = [stamp.cold_node for stamp in self.stamps]
 
@@ -248,135 +261,78 @@ class PackageThermalModel:
     # Construction
     # ------------------------------------------------------------------
 
-    def _build_network(self):
-        net = self.network
-        silicon, spreader_nodes, sink_nodes = self._build_core(
-            net, set(self.tec_tiles)
-        )
-        for flat in self.tec_tiles:
-            self.stamps.append(
-                self._stamp_tile(net, flat, silicon[flat], spreader_nodes[flat])
-            )
-        self._build_periphery(net, silicon, spreader_nodes, sink_nodes)
+    def network_blueprint(self):
+        """Record this package's :class:`~repro.thermal.assembly.NetworkBlueprint`.
 
-    def _stamp_tile(self, net, flat, silicon_node, spreader_node):
-        """Stamp one TEC device under tile ``flat`` (Figure 4).
-
-        The die-exit / spreader-entry lumping resistances are carried
-        in series with the contacts so covered and uncovered tiles see
-        the same layer conventions.
+        The blueprint holds the deployment-independent network — every
+        TIM tile present, one TEC stamp template per tile, die values
+        at unit conductivity scale — so any deployment and die scale of
+        the same grid/stack/device/powers instantiates from it (see
+        ``blueprint=`` in the constructor).
         """
-        die, _, spreader, _ = self.stack.conduction_layers()
-        return stamp_tec(
-            net,
+        grid = self.grid
+        bp = NetworkBlueprint(
+            num_tiles=grid.num_tiles,
+            lattice_shape=(grid.rows, grid.cols),
+            ambient_c=self.stack.ambient_c,
+        )
+        silicon, spreader_nodes, sink_nodes = self._build_core(bp)
+        self._add_stamp_section(
+            bp, silicon, spreader_nodes, np.arange(grid.num_tiles)
+        )
+        self._build_periphery(bp, spreader_nodes, sink_nodes)
+        return bp
+
+    def _add_stamp_section(self, bp, silicon, spreader_nodes, tiles):
+        """Record the TEC stamp template over every tile (Figure 4).
+
+        ``spreader_nodes`` and ``tiles`` are per deployable tile.  The
+        die-exit / spreader-entry lumping resistances are carried in
+        series with the contacts so covered and uncovered tiles see the
+        same layer conventions.
+        """
+        spreader = self.stack.conduction_layers()[2]
+        bp.add_stamp_section(
             self.device,
-            silicon_node=silicon_node,
-            spreader_node=spreader_node,
-            tile=flat,
-            cold_series_resistance=self._die_exit_resistance(flat),
+            silicon=silicon,
+            spreader=spreader_nodes,
+            tiles=tiles,
             hot_series_resistance=spreader.vertical_half_resistance(
                 self.grid.tile_area
             ),
-            cold_series_base=die.vertical_generation_resistance(
-                self.grid.tile_area
-            ),
         )
 
-    def _die_exit_resistance(self, flat):
-        """Die node-to-exit-face resistance of tile ``flat`` (t/3k)."""
-        die = self.stack.conduction_layers()[0]
-        r_die_exit = die.vertical_generation_resistance(self.grid.tile_area)
-        if self._die_k_scale is None:
-            return r_die_exit
-        return r_die_exit / self._die_k_scale[flat]
-
-    def network_blueprint(self):
-        """Record a :class:`~repro.thermal.assembly.NetworkBlueprint`.
-
-        The blueprint captures this model's deployment-independent
-        build stream (every TIM tile present) plus one TEC stamp
-        template per tile; sibling models for *any* deployment of the
-        same grid/stack/device/powers can then be instantiated from it
-        incrementally (see ``blueprint=`` in the constructor).
-        """
-        bp = NetworkBlueprint()
-        silicon, spreader_nodes, sink_nodes = self._build_core(bp, frozenset())
-        bp.mark_stamp_section()
-        for flat, _, _ in self.grid.iter_tiles():
-            bp.begin_stamp_template(flat)
-            stamp = self._stamp_tile(bp, flat, silicon[flat], spreader_nodes[flat])
-            bp.end_stamp_template(stamp)
-        self._build_periphery(bp, silicon, spreader_nodes, sink_nodes)
-        return bp
-
-    def _build_core(self, net, tec_set):
+    def _build_core(self, bp):
         """Nodes, sources and layer conduction of the tile grid.
 
-        ``net`` is a :class:`ThermalNetwork` or a recording
-        :class:`~repro.thermal.assembly.NetworkBlueprint`; ``tec_set``
-        holds the covered tiles (empty when recording a blueprint —
-        coverage is applied at replay).  Returns the silicon, spreader
-        and sink node lists.
+        Records into the blueprint ``bp`` and returns the silicon,
+        spreader and sink node arrays (indexed by tile).
         """
         grid = self.grid
-        stack = self.stack
-        die, tim, spreader, sink = stack.conduction_layers()
+        die, tim, spreader, sink = self.stack.conduction_layers()
         tile_area = grid.tile_area
+        tiles = np.arange(grid.num_tiles)
 
-        silicon = [
-            net.add_node("die[{}]".format(flat), NodeRole.SILICON, tile=flat)
-            for flat, _, _ in grid.iter_tiles()
-        ]
-        tim_nodes = {}
-        for flat, _, _ in grid.iter_tiles():
-            if flat not in tec_set:
-                tim_nodes[flat] = net.add_node(
-                    "tim[{}]".format(flat), NodeRole.TIM, tile=flat
-                )
-        spreader_nodes = [
-            net.add_node("spr[{}]".format(flat), NodeRole.SPREADER, tile=flat)
-            for flat, _, _ in grid.iter_tiles()
-        ]
-        sink_nodes = [
-            net.add_node("snk[{}]".format(flat), NodeRole.SINK, tile=flat)
-            for flat, _, _ in grid.iter_tiles()
-        ]
+        silicon = bp.add_nodes(NodeRole.SILICON, tiles)
+        tim_nodes = bp.add_nodes(NodeRole.TIM, tiles, cover_tiles=tiles)
+        spreader_nodes = bp.add_nodes(NodeRole.SPREADER, tiles)
+        sink_nodes = bp.add_nodes(NodeRole.SINK, tiles)
 
         # Tile powers.
-        for flat, _, _ in grid.iter_tiles():
-            if self.power_map[flat] > 0.0:
-                net.add_source(silicon[flat], self.power_map[flat])
+        bp.add_sources(silicon, self.power_map)
 
-        # Lateral conduction inside each gridded layer.  Die edges
-        # honour the optional per-tile conductivity scaling (two
-        # half-tiles in series -> harmonic mean of the scales) and are
-        # tagged with their unscaled value when ``net`` records die-
-        # scale tags (blueprints replayable under any scale field).
-        tag = getattr(net, "tag_die_scale", None)
-        for a, b, pitch, face in grid.iter_lateral_pairs():
-            base = die.lateral_conductance(face, pitch)
-            value = base
-            if self._die_k_scale is not None:
-                sa, sb = self._die_k_scale[a], self._die_k_scale[b]
-                value = base * (2.0 * sa * sb / (sa + sb))
-            net.add_conductance(silicon[a], silicon[b], value)
-            if tag is not None:
-                tag("die_lateral", (a, b), base)
-        for layer, nodes in (
-            (spreader, spreader_nodes),
-            (sink, sink_nodes),
-        ):
-            for a, b, pitch, face in grid.iter_lateral_pairs():
-                net.add_conductance(
-                    nodes[a], nodes[b], layer.lateral_conductance(face, pitch)
-                )
-        # Lateral conduction in the TIM exists only between uncovered
-        # tiles (a deployed TEC replaces the whole TIM tile).
-        for a, b, pitch, face in grid.iter_lateral_pairs():
-            if a in tim_nodes and b in tim_nodes:
-                net.add_conductance(
-                    tim_nodes[a], tim_nodes[b], tim.lateral_conductance(face, pitch)
-                )
+        # Lateral conduction inside each gridded layer.  Die edges are
+        # tagged with their tiles: under a per-tile conductivity scale
+        # they take the harmonic mean of the two half-tiles' scales.
+        # TIM edges of a tile a TEC covers drop out with its TIM node.
+        a, b, east = grid.lateral_pair_arrays()
+        bp.add_conductances(
+            silicon[a], silicon[b], _lateral(die, grid, east),
+            kind=DIE_LATERAL, tile_a=a, tile_b=b,
+        )
+        for layer, nodes in ((spreader, spreader_nodes), (sink, sink_nodes)):
+            bp.add_conductances(nodes[a], nodes[b], _lateral(layer, grid, east))
+        bp.add_conductances(tim_nodes[a], tim_nodes[b], _lateral(tim, grid, east))
 
         # Vertical conduction through the stack (per tile).
         # The die generates its heat internally, so its node-to-face
@@ -391,26 +347,25 @@ class PackageThermalModel:
             spreader.vertical_half_resistance(tile_area)
             + sink.vertical_half_resistance(tile_area)
         )
-
-        for flat, _, _ in grid.iter_tiles():
-            if flat in tim_nodes:
-                g_die_tim = 1.0 / (self._die_exit_resistance(flat) + tim_half)
-                net.add_conductance(silicon[flat], tim_nodes[flat], g_die_tim)
-                if tag is not None:
-                    tag("die_tim", (flat,), (r_die_exit, tim_half))
-                net.add_conductance(tim_nodes[flat], spreader_nodes[flat], g_tim_spr)
-            net.add_conductance(spreader_nodes[flat], sink_nodes[flat], g_spr_snk)
-
+        bp.set_die_exit(r_die_exit, tim_half)
+        n = grid.num_tiles
+        bp.add_conductances(
+            _tile_major(n, silicon, tim_nodes, spreader_nodes),
+            _tile_major(n, tim_nodes, spreader_nodes, sink_nodes),
+            _tile_major(n, 1.0 / (r_die_exit + tim_half), g_tim_spr, g_spr_snk),
+            kind=_tile_major(n, DIE_TIM, PLAIN, PLAIN),
+            tile_a=_tile_major(n, tiles, -1, -1),
+        )
         return silicon, spreader_nodes, sink_nodes
 
-    def _build_periphery(self, net, silicon, spreader_nodes, sink_nodes,
-                         grid=None):
+    def _build_periphery(self, bp, spreader_nodes, sink_nodes, grid=None):
         """Spreader/sink overhang nodes and convection to ambient.
 
-        ``grid`` is the tile grid the spreader/sink node lists are
+        ``grid`` is the tile grid the spreader/sink node arrays are
         indexed by — the silicon grid for the single-die package; the
         bounding lattice for a composite layout (whose shared layers
-        span chiplets and gaps alike).
+        span chiplets and gaps alike).  The rings are O(perimeter), so
+        this stays a plain loop over the four sides.
         """
         grid = grid if grid is not None else self.grid
         stack = self.stack
@@ -446,54 +401,43 @@ class PackageThermalModel:
         for side in _SIDES:
             overhang = spr_overhang_h if side in ("north", "south") else spr_overhang_w
             if overhang > 0.0:
-                spr_periphery[side] = net.add_node(
+                spr_periphery[side] = bp.add_ring(
                     "spr.periphery.{}".format(side),
                     NodeRole.SPREADER_PERIPHERY,
-                    area=spr_area[side],
+                    spr_area[side],
                 )
-                snk_inner[side] = net.add_node(
+                snk_inner[side] = bp.add_ring(
                     "snk.inner.{}".format(side),
                     NodeRole.SINK_PERIPHERY,
-                    area=snk_inner_area[side],
+                    snk_inner_area[side],
                 )
             if snk_overhang > 0.0:
-                snk_outer[side] = net.add_node(
+                snk_outer[side] = bp.add_ring(
                     "snk.outer.{}".format(side),
                     NodeRole.SINK_PERIPHERY,
-                    area=snk_outer_area[side],
+                    snk_outer_area[side],
                 )
 
-        # Spreader edge tiles -> spreader periphery (lateral copper).
-        # The effective conduction length into the overhang ring is
-        # shortened by the SPREADING_FACTOR to account for the 2-D
-        # fan-out the lumped ring cannot represent (calibrated against
-        # the fine-grid reference; see thermal/validation.py).
-        for side in _SIDES:
-            if side not in spr_periphery:
-                continue
-            horizontal = side in ("north", "south")
-            overhang = spr_overhang_h if horizontal else spr_overhang_w
-            pitch = grid.tile_height if horizontal else grid.tile_width
-            face = grid.tile_width if horizontal else grid.tile_height
-            distance = 0.5 * pitch + self.SPREADING_FACTOR * overhang
-            for flat in grid.boundary_tiles(side):
-                g = spreader.material.conductance(
-                    face * spreader.thickness, distance
-                )
-                net.add_conductance(spreader_nodes[flat], spr_periphery[side], g)
-
-        # Sink edge tiles -> sink inner periphery (lateral in the sink).
-        for side in _SIDES:
-            if side not in snk_inner:
-                continue
-            horizontal = side in ("north", "south")
-            overhang = spr_overhang_h if horizontal else spr_overhang_w
-            pitch = grid.tile_height if horizontal else grid.tile_width
-            face = grid.tile_width if horizontal else grid.tile_height
-            distance = 0.5 * pitch + self.SPREADING_FACTOR * overhang
-            for flat in grid.boundary_tiles(side):
-                g = sink.material.conductance(face * sink.thickness, distance)
-                net.add_conductance(sink_nodes[flat], snk_inner[side], g)
+        # Spreader edge tiles -> spreader periphery (lateral copper),
+        # then sink edge tiles -> sink inner periphery (lateral in the
+        # sink).  The effective conduction length into the overhang
+        # ring is shortened by the SPREADING_FACTOR to account for the
+        # 2-D fan-out the lumped ring cannot represent (calibrated
+        # against the fine-grid reference; see thermal/validation.py).
+        for layer, nodes, rings in (
+            (spreader, spreader_nodes, spr_periphery),
+            (sink, sink_nodes, snk_inner),
+        ):
+            for side in _SIDES:
+                if side not in rings:
+                    continue
+                horizontal = side in ("north", "south")
+                overhang = spr_overhang_h if horizontal else spr_overhang_w
+                pitch = grid.tile_height if horizontal else grid.tile_width
+                face = grid.tile_width if horizontal else grid.tile_height
+                distance = 0.5 * pitch + self.SPREADING_FACTOR * overhang
+                g = layer.material.conductance(face * layer.thickness, distance)
+                bp.add_conductances(nodes[grid.boundary_tiles(side)], rings[side], g)
 
         # Vertical: spreader periphery -> sink inner periphery.
         for side, area in spr_area.items():
@@ -501,7 +445,7 @@ class PackageThermalModel:
                 spreader.vertical_half_resistance(area)
                 + sink.vertical_half_resistance(area)
             )
-            net.add_conductance(spr_periphery[side], snk_inner[side], g)
+            bp.add_conductances(spr_periphery[side], snk_inner[side], g)
 
         # Lateral: sink inner periphery -> sink outer periphery.
         for side in _SIDES:
@@ -513,20 +457,21 @@ class PackageThermalModel:
                 distance = self.SPREADING_FACTOR * (overhang + snk_overhang)
                 face = spr_side
                 g = sink.material.conductance(face * sink.thickness, distance)
-                net.add_conductance(snk_inner[side], snk_outer[side], g)
+                bp.add_conductances(snk_inner[side], snk_outer[side], g)
             else:
                 # Degenerate: spreader no larger than the die — couple
                 # the outer ring straight to the sink edge tiles.
-                for flat in grid.boundary_tiles(side):
-                    face = (
-                        grid.tile_width
-                        if side in ("north", "south")
-                        else grid.tile_height
-                    )
-                    g = sink.material.conductance(
-                        face * sink.thickness, 0.5 * snk_overhang
-                    )
-                    net.add_conductance(sink_nodes[flat], snk_outer[side], g)
+                face = (
+                    grid.tile_width
+                    if side in ("north", "south")
+                    else grid.tile_height
+                )
+                g = sink.material.conductance(
+                    face * sink.thickness, 0.5 * snk_overhang
+                )
+                bp.add_conductances(
+                    sink_nodes[grid.boundary_tiles(side)], snk_outer[side], g
+                )
 
         # Convection: distribute 1 / R_convec over sink nodes by area.
         total_conductance = 1.0 / stack.convection_resistance
@@ -534,14 +479,13 @@ class PackageThermalModel:
             snk_outer_area.values()
         )
         per_tile = total_conductance * (grid.tile_area / total_area)
-        for flat, _, _ in grid.iter_tiles():
-            net.add_ground_conductance(sink_nodes[flat], per_tile)
+        bp.add_ground(sink_nodes, per_tile)
         for side, node in snk_inner.items():
-            net.add_ground_conductance(
+            bp.add_ground(
                 node, total_conductance * snk_inner_area[side] / total_area
             )
         for side, node in snk_outer.items():
-            net.add_ground_conductance(
+            bp.add_ground(
                 node, total_conductance * snk_outer_area[side] / total_area
             )
 
@@ -552,7 +496,7 @@ class PackageThermalModel:
     @property
     def num_nodes(self):
         """Size of the nodal system."""
-        return self.network.num_nodes
+        return self.system.num_nodes
 
     @property
     def session(self):
@@ -574,9 +518,8 @@ class PackageThermalModel:
     def with_tec_tiles(self, tec_tiles):
         """New model with a different TEC deployment (same everything else).
 
-        The sibling shares this model's solver configuration and stats,
-        and — when available — its network blueprint, so the rebuild is
-        incremental.
+        The sibling shares this model's solver configuration, stats and
+        network blueprint, so the rebuild is incremental.
         """
         return PackageThermalModel(
             self.grid,
@@ -591,26 +534,15 @@ class PackageThermalModel:
             solver_stats=self.solver.stats,
         )
 
-    def ensure_blueprint(self):
-        """This model's blueprint, recording (and caching) it on demand.
-
-        Returns the blueprint the model was built from, or records one
-        via :meth:`network_blueprint` on first call and reuses it for
-        every later sibling build.
-        """
-        if self._blueprint is None:
-            self._blueprint = self.network_blueprint()
-        return self._blueprint
-
     def with_die_conductivity_scale(self, die_conductivity_scale):
         """Sibling with a different per-tile die conductivity scale.
 
-        Replays this model's (recorded-on-demand) blueprint under the
-        new scale field — no from-scratch network construction, bitwise
-        identical matrices (see
-        :meth:`~repro.thermal.assembly.NetworkBlueprint.tag_die_scale`).
-        The sibling shares this model's solver configuration and stats;
-        the nonlinear fixed-point iteration rebuilds through this.
+        Instantiates this model's blueprint under the new scale field —
+        the die-scale bound values are recomputed, nothing is recorded
+        again, and the matrices are bitwise identical to a from-scratch
+        build at that scale.  The sibling shares this model's solver
+        configuration and stats; the nonlinear fixed-point iteration
+        rebuilds through this.
         """
         return PackageThermalModel(
             self.grid,
@@ -619,7 +551,7 @@ class PackageThermalModel:
             tec_tiles=self.tec_tiles,
             device=self.device,
             die_conductivity_scale=die_conductivity_scale,
-            blueprint=self.ensure_blueprint(),
+            blueprint=self._blueprint,
             solver_mode=self._solver_mode,
             solver_cache_size=self._solver_cache_size,
             solver_stats=self.solver.stats,
@@ -696,9 +628,9 @@ class CompositeThermalModel(PackageThermalModel):
     Stamps a :class:`~repro.thermal.chiplet.ChipletLayout` — N chiplet
     tile grids, the shared interposer with microbump vertical links and
     lateral spreading, and the shared TIM/spreader/sink cooling stack —
-    into the same node/conductance network machinery as the single-die
+    into the same blueprint arrays as the single-die
     :class:`PackageThermalModel`, so every downstream subsystem
-    (blueprint replay, :class:`~repro.thermal.session.SolveSession`
+    (blueprint instantiation, :class:`~repro.thermal.session.SolveSession`
     caching, the mg hierarchy, GreedyDeploy, sweep and serve) works on
     composite models unchanged.
 
@@ -770,167 +702,99 @@ class CompositeThermalModel(PackageThermalModel):
     # Construction
     # ------------------------------------------------------------------
 
-    def _build_network(self):
-        net = self.network
-        silicon, spreader_nodes, sink_nodes = self._build_composite_core(
-            net, set(self.tec_tiles)
-        )
-        for flat in self.tec_tiles:
-            self.stamps.append(
-                self._stamp_tile(
-                    net, flat, silicon[flat],
-                    spreader_nodes[self.grid.lattice_index(flat)],
-                )
-            )
-        self._build_periphery(
-            net, silicon, spreader_nodes, sink_nodes, grid=self._bounding
-        )
-
     def network_blueprint(self):
-        """Record the composite build as a replayable blueprint.
+        """Record the composite package as a blueprint.
 
         Same contract as the single-die
-        :meth:`PackageThermalModel.network_blueprint`: the stream is
-        recorded with every TIM tile present plus one TEC stamp
-        template per **global** tile, and any deployment of the same
-        layout replays bitwise-identically.
+        :meth:`PackageThermalModel.network_blueprint`, with one TEC stamp
+        template per **global** tile; node tiles are bounding-lattice
+        indices.
         """
-        bp = NetworkBlueprint()
-        silicon, spreader_nodes, sink_nodes = self._build_composite_core(
-            bp, frozenset()
+        grid = self.grid
+        flats = np.arange(grid.num_tiles)
+        lattice_of = grid.occupied_lattice_tiles()
+        flat_of_tile = np.full(self._bounding.num_tiles, -1, dtype=np.int64)
+        flat_of_tile[lattice_of] = flats
+        bp = NetworkBlueprint(
+            num_tiles=grid.num_tiles,
+            lattice_shape=(grid.rows, grid.cols),
+            ambient_c=self.stack.ambient_c,
+            naming={
+                "chiplet_names": tuple(spec.name for spec in self.layout.chiplets),
+                "chiplet_of_flat": np.repeat(
+                    np.arange(grid.num_chiplets),
+                    [cgrid.num_tiles for cgrid in grid.grids],
+                ),
+                "flat_of_tile": flat_of_tile,
+            },
         )
-        bp.mark_stamp_section()
-        for flat in range(self.grid.num_tiles):
-            bp.begin_stamp_template(flat)
-            stamp = self._stamp_tile(
-                bp, flat, silicon[flat],
-                spreader_nodes[self.grid.lattice_index(flat)],
-            )
-            bp.end_stamp_template(stamp)
+        silicon, spreader_nodes, sink_nodes = self._build_composite_core(
+            bp, lattice_of
+        )
+        self._add_stamp_section(
+            bp, silicon, spreader_nodes[lattice_of], lattice_of
+        )
         self._build_periphery(
-            bp, silicon, spreader_nodes, sink_nodes, grid=self._bounding
+            bp, spreader_nodes, sink_nodes, grid=self._bounding
         )
         return bp
 
-    def _stamp_tile(self, net, flat, silicon_node, spreader_node):
-        """Stamp one TEC under **global** tile ``flat``.
-
-        Identical series-resistance lumping to the single-die stamp;
-        the node metadata additionally carries the bounding-lattice
-        placement so the mg stencil keeps its coherent tile grid.
-        """
-        die, _, spreader, _ = self.stack.conduction_layers()
-        return stamp_tec(
-            net,
-            self.device,
-            silicon_node=silicon_node,
-            spreader_node=spreader_node,
-            tile=flat,
-            lattice_tile=self.grid.lattice_index(flat),
-            cold_series_resistance=self._die_exit_resistance(flat),
-            hot_series_resistance=spreader.vertical_half_resistance(
-                self.grid.tile_area
-            ),
-            cold_series_base=die.vertical_generation_resistance(
-                self.grid.tile_area
-            ),
-        )
-
-    def _build_composite_core(self, net, tec_set):
+    def _build_composite_core(self, bp, lattice_of):
         """Nodes, sources and layer conduction of the composite stack.
 
-        Per chiplet: silicon tiles with their power sources, TIM tiles
-        (where no TEC covers them), lateral die/TIM conduction, and the
-        per-tile vertical chain die -> TIM -> spreader.  Shared over
-        the bounding lattice: interposer (with microbump links up to
-        each chiplet tile and optional TSV/board leakage), spreader and
-        sink layers with lateral conduction across chiplets and gaps.
-        Returns ``(silicon, spreader_nodes, sink_nodes)`` — silicon
-        indexed by global flat, the shared layers by bounding flat.
+        Per chiplet: silicon tiles with their power sources, TIM tiles,
+        lateral die/TIM conduction, and the per-tile vertical chain
+        die -> TIM -> spreader.  Shared over the bounding lattice:
+        interposer (with microbump links up to each chiplet tile and
+        optional TSV/board leakage), spreader and sink layers with
+        lateral conduction across chiplets and gaps.  ``lattice_of``
+        maps global flat tiles to the lattice.  Returns
+        ``(silicon, spreader_nodes, sink_nodes)`` — silicon indexed by
+        global flat, the shared layers by bounding flat.
         """
         grid = self.grid
         layout = self.layout
         bounding = self._bounding
-        stack = self.stack
-        die, tim, spreader, sink = stack.conduction_layers()
+        die, tim, spreader, sink = self.stack.conduction_layers()
         interposer = self.interposer_layer
         tile_area = grid.tile_area
-        lattice_of = grid.occupied_lattice_tiles()
+        flats = np.arange(grid.num_tiles)
+        lats = np.arange(bounding.num_tiles)
 
-        silicon = []
-        for flat, chiplet, _, _ in grid.iter_tiles():
-            name = layout.chiplets[chiplet].name
-            silicon.append(
-                net.add_node(
-                    "die[{}:{}]".format(name, flat),
-                    NodeRole.SILICON,
-                    tile=int(lattice_of[flat]),
-                    chiplet=chiplet,
-                )
-            )
-        tim_nodes = {}
-        for flat, chiplet, _, _ in grid.iter_tiles():
-            if flat not in tec_set:
-                name = layout.chiplets[chiplet].name
-                tim_nodes[flat] = net.add_node(
-                    "tim[{}:{}]".format(name, flat),
-                    NodeRole.TIM,
-                    tile=int(lattice_of[flat]),
-                    cover_tile=flat,
-                    chiplet=chiplet,
-                )
+        silicon = bp.add_nodes(NodeRole.SILICON, lattice_of)
+        tim_nodes = bp.add_nodes(NodeRole.TIM, lattice_of, cover_tiles=flats)
         interposer_nodes = None
         if interposer is not None:
-            interposer_nodes = [
-                net.add_node(
-                    "itp[{}]".format(lat), NodeRole.INTERPOSER, tile=lat
-                )
-                for lat, _, _ in bounding.iter_tiles()
-            ]
-        spreader_nodes = [
-            net.add_node("spr[{}]".format(lat), NodeRole.SPREADER, tile=lat)
-            for lat, _, _ in bounding.iter_tiles()
-        ]
-        sink_nodes = [
-            net.add_node("snk[{}]".format(lat), NodeRole.SINK, tile=lat)
-            for lat, _, _ in bounding.iter_tiles()
-        ]
+            interposer_nodes = bp.add_nodes(NodeRole.INTERPOSER, lats)
+        spreader_nodes = bp.add_nodes(NodeRole.SPREADER, lats)
+        sink_nodes = bp.add_nodes(NodeRole.SINK, lats)
 
         # Tile powers.
-        for flat in range(grid.num_tiles):
-            if self.power_map[flat] > 0.0:
-                net.add_source(silicon[flat], self.power_map[flat])
+        bp.add_sources(silicon, self.power_map)
 
         # Lateral conduction: die and TIM within each chiplet only
         # (chiplets are physically separate islands of silicon)...
-        tag = getattr(net, "tag_die_scale", None)
+        blocks = []
         for chiplet, cgrid in enumerate(grid.grids):
+            a, b, east = cgrid.lateral_pair_arrays()
             offset = grid.block_offset(chiplet)
-            for a, b, pitch, face in cgrid.iter_lateral_pairs():
-                base = die.lateral_conductance(face, pitch)
-                net.add_conductance(silicon[offset + a], silicon[offset + b], base)
-                if tag is not None:
-                    tag("die_lateral", (offset + a, offset + b), base)
+            blocks.append((a + offset, b + offset, cgrid, east))
+        for a, b, cgrid, east in blocks:
+            bp.add_conductances(
+                silicon[a], silicon[b], _lateral(die, cgrid, east),
+                kind=DIE_LATERAL, tile_a=a, tile_b=b,
+            )
         # ... the shared layers across the whole bounding lattice,
         # gaps included — this is the lateral interposer/spreader
         # spreading that couples the chiplets.
         shared_layers = [(spreader, spreader_nodes), (sink, sink_nodes)]
         if interposer_nodes is not None:
             shared_layers.insert(0, (interposer, interposer_nodes))
+        a, b, east = bounding.lateral_pair_arrays()
         for layer, nodes in shared_layers:
-            for a, b, pitch, face in bounding.iter_lateral_pairs():
-                net.add_conductance(
-                    nodes[a], nodes[b], layer.lateral_conductance(face, pitch)
-                )
-        for chiplet, cgrid in enumerate(grid.grids):
-            offset = grid.block_offset(chiplet)
-            for a, b, pitch, face in cgrid.iter_lateral_pairs():
-                ga, gb = offset + a, offset + b
-                if ga in tim_nodes and gb in tim_nodes:
-                    net.add_conductance(
-                        tim_nodes[ga], tim_nodes[gb],
-                        tim.lateral_conductance(face, pitch),
-                    )
+            bp.add_conductances(nodes[a], nodes[b], _lateral(layer, bounding, east))
+        for a, b, cgrid, east in blocks:
+            bp.add_conductances(tim_nodes[a], tim_nodes[b], _lateral(tim, cgrid, east))
 
         # Vertical conduction.  Chiplet tiles follow the single-die
         # conventions exactly (t/3k generation exit, mid-plane halves);
@@ -945,25 +809,23 @@ class CompositeThermalModel(PackageThermalModel):
             spreader.vertical_half_resistance(tile_area)
             + sink.vertical_half_resistance(tile_area)
         )
-
-        for flat in range(grid.num_tiles):
-            lat = int(lattice_of[flat])
-            if flat in tim_nodes:
-                g_die_tim = 1.0 / (self._die_exit_resistance(flat) + tim_half)
-                net.add_conductance(silicon[flat], tim_nodes[flat], g_die_tim)
-                if tag is not None:
-                    tag("die_tim", (flat,), (r_die_exit, tim_half))
-                net.add_conductance(
-                    tim_nodes[flat], spreader_nodes[lat], g_tim_spr
-                )
-            if interposer_nodes is not None:
-                net.add_conductance(
-                    silicon[flat],
-                    interposer_nodes[lat],
-                    layout.interposer.microbump_conductance,
-                )
-        for lat in range(bounding.num_tiles):
-            net.add_conductance(spreader_nodes[lat], sink_nodes[lat], g_spr_snk)
+        bp.set_die_exit(r_die_exit, tim_half)
+        chain = [
+            (silicon, tim_nodes, 1.0 / (r_die_exit + tim_half), DIE_TIM, flats),
+            (tim_nodes, spreader_nodes[lattice_of], g_tim_spr, PLAIN, -1),
+        ]
+        if interposer_nodes is not None:
+            chain.append((
+                silicon, interposer_nodes[lattice_of],
+                layout.interposer.microbump_conductance, PLAIN, -1,
+            ))
+        a, b, g, kind, tile = zip(*chain)
+        n = grid.num_tiles
+        bp.add_conductances(
+            _tile_major(n, *a), _tile_major(n, *b), _tile_major(n, *g),
+            kind=_tile_major(n, *kind), tile_a=_tile_major(n, *tile),
+        )
+        bp.add_conductances(spreader_nodes, sink_nodes, g_spr_snk)
 
         # Optional lumped TSV/ball path from the interposer into the
         # board, distributed uniformly over the interposer tiles.
@@ -974,8 +836,7 @@ class CompositeThermalModel(PackageThermalModel):
             g_board = 1.0 / (
                 layout.interposer.board_resistance * bounding.num_tiles
             )
-            for lat in range(bounding.num_tiles):
-                net.add_ground_conductance(interposer_nodes[lat], g_board)
+            bp.add_ground(interposer_nodes, g_board)
 
         return silicon, spreader_nodes, sink_nodes
 

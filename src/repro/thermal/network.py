@@ -1,4 +1,4 @@
-"""The thermal conductance network.
+"""Node roles and the node view of an assembled package network.
 
 Heat transfer is treated through its electrical dual (Section IV.A):
 heat flow is "current" through thermal conductances, temperatures are
@@ -6,17 +6,20 @@ node "voltages" against a ground at absolute zero, power dissipation is
 a current source, and the ambient is a constant voltage source that is
 eliminated into the right-hand side during assembly.
 
-:class:`ThermalNetwork` is the mutable builder the package model and
-the TEC stamps write into; :func:`repro.thermal.assembly.assemble`
-turns it into the ``(G, D, p_base, joule)`` matrices of Equation (4).
+The network itself only ever exists as arrays: a
+:class:`~repro.thermal.assembly.NetworkBlueprint` records the package
+once and instantiates the ``(G, D, p_base, joule)`` matrices of
+Equation (4) for any deployment.  :class:`NetworkNodes` is the per-node
+side of one instance — role codes and lattice tiles, with names derived
+on demand.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
-from repro.utils import check_nonnegative, check_positive
+import numpy as np
+
 from repro.utils.validate import check_index
 
 
@@ -41,138 +44,77 @@ class NodeRole(enum.Enum):
     OTHER = "other"
 
 
-@dataclass
-class Node:
-    """One network node.
+#: Every role in declaration order; a node's role code indexes this.
+ROLES = tuple(NodeRole)
 
-    ``meta`` carries builder-specific context (e.g. the tile flat index
-    a silicon node corresponds to).
+#: Role -> the int8 code stored in :attr:`NetworkNodes.roles`.
+ROLE_CODES = {role: code for code, role in enumerate(ROLES)}
+
+_PREFIXES = {
+    NodeRole.SILICON: "die",
+    NodeRole.TIM: "tim",
+    NodeRole.INTERPOSER: "itp",
+    NodeRole.SPREADER: "spr",
+    NodeRole.SINK: "snk",
+}
+
+
+class NetworkNodes:
+    """Read-only view of the nodes of one assembled network.
+
+    Attributes
+    ----------
+    roles:
+        int8 role code per node (``ROLES[code]`` is the
+        :class:`NodeRole`).
+    tiles:
+        Bounding-lattice tile per gridded or TEC node, ``-1`` for the
+        periphery rings.
+    rings:
+        ``{node: (name, area)}`` for the periphery ring nodes, ``area``
+        being the ring's footprint in m^2.
+
+    ``chiplet_names`` (composite layouts only) names each chiplet, and
+    ``flat_of_tile`` maps a lattice tile back to its global flat tile;
+    both only feed :meth:`node_name`.
     """
 
-    name: str
-    role: NodeRole
-    meta: dict = field(default_factory=dict)
-
-
-class ThermalNetwork:
-    """Mutable thermal-network builder.
-
-    The builder accumulates:
-
-    * **conductances** between node pairs (parallel additions merge);
-    * **ground conductances** from a node to the ambient voltage source;
-    * **sources**: constant heat inputs in watts;
-    * **joule coefficients**: heat inputs of ``coeff * i^2`` watts
-      (the TEC's ``r/2`` terms, Section IV.C);
-    * **peltier coefficients**: the diagonal of ``D`` (``+alpha`` on
-      hot nodes, ``-alpha`` on cold nodes).
-    """
-
-    def __init__(self):
-        self.nodes = []
-        self._conductances = {}
-        self._ground = {}
-        self._sources = {}
-        self._joule = {}
-        self._peltier = {}
+    def __init__(self, roles, tiles, rings, *, chiplet_names=None,
+                 chiplet_of_flat=None, flat_of_tile=None):
+        self.roles = roles
+        self.tiles = tiles
+        self.rings = rings
+        self._chiplet_names = chiplet_names
+        self._chiplet_of_flat = chiplet_of_flat
+        self._flat_of_tile = flat_of_tile
 
     def __len__(self):
-        return len(self.nodes)
+        return self.roles.size
 
-    @property
-    def num_nodes(self):
-        """Number of nodes added so far."""
-        return len(self.nodes)
-
-    def add_node(self, name, role=NodeRole.OTHER, **meta):
-        """Add a node; returns its index."""
-        if not isinstance(role, NodeRole):
-            raise TypeError("role must be a NodeRole, got {!r}".format(role))
-        self.nodes.append(Node(str(name), role, dict(meta)))
-        return len(self.nodes) - 1
-
-    def add_conductance(self, a, b, conductance):
-        """Add a thermal conductance (W/K) between nodes ``a`` and ``b``.
-
-        Parallel conductances between the same pair accumulate.
-        """
-        a = check_index(a, "a", len(self.nodes))
-        b = check_index(b, "b", len(self.nodes))
-        if a == b:
-            raise ValueError("conductance endpoints must differ, got node {}".format(a))
-        conductance = check_positive(conductance, "conductance")
-        key = (a, b) if a < b else (b, a)
-        self._conductances[key] = self._conductances.get(key, 0.0) + conductance
-
-    def add_ground_conductance(self, node, conductance):
-        """Add a conductance (W/K) from ``node`` to the ambient source."""
-        node = check_index(node, "node", len(self.nodes))
-        conductance = check_positive(conductance, "conductance")
-        self._ground[node] = self._ground.get(node, 0.0) + conductance
-
-    def add_source(self, node, power):
-        """Add a constant heat source (W, >= 0) at ``node``."""
-        node = check_index(node, "node", len(self.nodes))
-        power = check_nonnegative(power, "power")
-        if power:
-            self._sources[node] = self._sources.get(node, 0.0) + power
-
-    def add_joule(self, node, coefficient):
-        """Add a current-dependent source ``coefficient * i^2`` at ``node``."""
-        node = check_index(node, "node", len(self.nodes))
-        coefficient = check_nonnegative(coefficient, "coefficient")
-        if coefficient:
-            self._joule[node] = self._joule.get(node, 0.0) + coefficient
-
-    def set_peltier(self, node, alpha_signed):
-        """Set the ``D`` diagonal entry for ``node``.
-
-        ``+alpha`` for a TEC hot node, ``-alpha`` for a cold node
-        (Equation 5).  A node may carry at most one Peltier entry; a
-        second assignment raises, because stacking two TEC sides on one
-        node has no physical meaning in this model.
-        """
-        node = check_index(node, "node", len(self.nodes))
-        alpha_signed = float(alpha_signed)
-        if node in self._peltier:
-            raise ValueError("node {} already has a Peltier coefficient".format(node))
-        if alpha_signed == 0.0:
-            raise ValueError("Peltier coefficient must be non-zero")
-        self._peltier[node] = alpha_signed
-
-    def conductance_items(self):
-        """Iterate ``((a, b), g)`` over accumulated pair conductances."""
-        return self._conductances.items()
-
-    def ground_items(self):
-        """Iterate ``(node, g)`` over ground conductances."""
-        return self._ground.items()
-
-    def source_items(self):
-        """Iterate ``(node, watts)`` over constant sources."""
-        return self._sources.items()
-
-    def joule_items(self):
-        """Iterate ``(node, coeff)`` over Joule coefficients."""
-        return self._joule.items()
-
-    def peltier_items(self):
-        """Iterate ``(node, signed_alpha)`` over ``D`` diagonal entries."""
-        return self._peltier.items()
+    def role(self, index):
+        """The :class:`NodeRole` of node ``index``."""
+        index = check_index(index, "index", len(self))
+        return ROLES[self.roles[index]]
 
     def indices_with_role(self, role):
-        """All node indices whose role is ``role``, in insertion order."""
-        return [k for k, node in enumerate(self.nodes) if node.role is role]
+        """All node indices whose role is ``role``, ascending."""
+        return np.flatnonzero(self.roles == ROLE_CODES[role])
 
     def node_name(self, index):
-        """Name of node ``index``."""
-        index = check_index(index, "index", len(self.nodes))
-        return self.nodes[index].name
-
-    def total_ground_conductance(self):
-        """Sum of all conductances to ambient (W/K)."""
-        return sum(self._ground.values())
-
-    def total_source_power(self):
-        """Sum of all constant heat sources (W)."""
-        return sum(self._sources.values())
+        """Name of node ``index`` (``die[5]``, ``tec[5].cold``, ...)."""
+        index = check_index(index, "index", len(self))
+        ring = self.rings.get(index)
+        if ring is not None:
+            return ring[0]
+        role = ROLES[self.roles[index]]
+        tile = int(self.tiles[index])
+        flat = tile if self._flat_of_tile is None else int(self._flat_of_tile[tile])
+        if role is NodeRole.TEC_COLD:
+            return "tec[{}].cold".format(flat)
+        if role is NodeRole.TEC_HOT:
+            return "tec[{}].hot".format(flat)
+        prefix = _PREFIXES.get(role, "node")
+        if self._chiplet_names is not None and role in (NodeRole.SILICON, NodeRole.TIM):
+            name = self._chiplet_names[self._chiplet_of_flat[flat]]
+            return "{}[{}:{}]".format(prefix, name, flat)
+        return "{}[{}]".format(prefix, tile)

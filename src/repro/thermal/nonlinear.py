@@ -12,9 +12,9 @@ linear model predicts (the hotter the tile, the worse it conducts).
 :class:`NonlinearSteadyState` resolves this with damped fixed-point
 iteration: solve the linear model, evaluate each tile's conductivity
 scale at its own temperature, rebuild the die conductances
-(``model.with_die_conductivity_scale(...)`` — a blueprint replay that
-recomputes only the scale-tagged conductances, not a from-scratch
-model construction), repeat until the temperature field stops moving.
+(``model.with_die_conductivity_scale(...)`` — an instantiation of the
+model's blueprint that recomputes only the scale-bound conductances,
+not a from-scratch model construction), repeat until the temperature field stops moving.
 Convergence is fast (the coupling is mild); five iterations typically
 reach micro-kelvin changes.
 

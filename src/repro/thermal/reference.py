@@ -344,9 +344,8 @@ class ReferenceChipletModel:
     islands, the shared interposer with microbump links and lateral
     spreading, the shared spreader/sink with overhang periphery rings
     and area-distributed convection — sharing **no builder code** with
-    :class:`~repro.thermal.model.CompositeThermalModel` (no
-    ``ThermalNetwork``, no blueprint machinery, no layer stamping
-    helpers; every conductance is formed here from the material records
+    :class:`~repro.thermal.model.CompositeThermalModel` (no blueprint
+    machinery, no layer stamping helpers; every conductance is formed here from the material records
     directly, and the system is solved by a plain ``spsolve``).
 
     Because both sides discretize the package identically (one node

@@ -188,10 +188,13 @@ class SolverStats:
     factor_time_s / solve_time_s:
         Cumulative wall time in factorization and in solves.
     full_builds / incremental_builds:
-        Package networks built from scratch vs replayed from a cached
-        :class:`~repro.thermal.assembly.NetworkBlueprint`.
+        Models that recorded their package's
+        :class:`~repro.thermal.assembly.NetworkBlueprint` vs models
+        instantiated from an already recorded one; every model
+        construction counts exactly one of the two.
     assembly_time_s:
-        Cumulative wall time building networks and assembling matrices.
+        Cumulative wall time recording blueprints, instantiating them
+        and assembling matrices.
     """
 
     factorizations: int = 0

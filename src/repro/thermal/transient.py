@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.linalg.mor import ReducedTransient, resolve_rom_mode
-from repro.thermal.network import NodeRole
+from repro.thermal.network import ROLE_CODES, ROLES, NodeRole
 from repro.utils import celsius_to_kelvin, check_positive, kelvin_to_celsius
 
 _GRIDDED_ROLES = {
@@ -62,38 +62,31 @@ def node_capacitances(model):
 
     layers = {layer.name: layer for layer in model.stack.conduction_layers()}
     tile_area = model.grid.tile_area
-    capacitance = np.zeros(model.num_nodes)
-    for index, node in enumerate(model.network.nodes):
-        if node.role in _GRIDDED_ROLES:
-            layer = layers[_GRIDDED_ROLES[node.role]]
-            capacitance[index] = (
-                layer.material.volumetric_heat_capacity * tile_area * layer.thickness
-            )
-        elif node.role in _PERIPHERY_ROLES:
-            layer = layers[_PERIPHERY_ROLES[node.role]]
-            area = node.meta.get("area", tile_area)
-            capacitance[index] = (
-                layer.material.volumetric_heat_capacity * area * layer.thickness
-            )
-        elif node.role is NodeRole.INTERPOSER:
-            interposer = getattr(model, "interposer_layer", None)
-            if interposer is None:
-                capacitance[index] = 1.0e-6
-            else:
-                capacitance[index] = (
-                    interposer.material.volumetric_heat_capacity
-                    * tile_area
-                    * interposer.thickness
-                )
-        elif node.role in (NodeRole.TEC_HOT, NodeRole.TEC_COLD):
-            film_volume = model.device.footprint * 1.5e-5  # ~15 um stack
-            capacitance[index] = (
-                0.5
-                * BISMUTH_TELLURIDE_SUPERLATTICE.volumetric_heat_capacity
-                * film_volume
-            )
-        else:
-            capacitance[index] = 1.0e-6  # numerical floor for stray nodes
+    nodes = model.nodes
+    # Per role code; stray nodes keep a numerical floor.
+    per_role = np.full(len(ROLES), 1.0e-6)
+    for role, name in _GRIDDED_ROLES.items():
+        layer = layers[name]
+        per_role[ROLE_CODES[role]] = (
+            layer.material.volumetric_heat_capacity * tile_area * layer.thickness
+        )
+    interposer = getattr(model, "interposer_layer", None)
+    if interposer is not None:
+        per_role[ROLE_CODES[NodeRole.INTERPOSER]] = (
+            interposer.material.volumetric_heat_capacity
+            * tile_area
+            * interposer.thickness
+        )
+    film_volume = model.device.footprint * 1.5e-5  # ~15 um stack
+    per_role[[ROLE_CODES[NodeRole.TEC_HOT], ROLE_CODES[NodeRole.TEC_COLD]]] = (
+        0.5 * BISMUTH_TELLURIDE_SUPERLATTICE.volumetric_heat_capacity * film_volume
+    )
+    capacitance = per_role[nodes.roles]
+    for index, (_, area) in nodes.rings.items():
+        layer = layers[_PERIPHERY_ROLES[nodes.role(index)]]
+        capacitance[index] = (
+            layer.material.volumetric_heat_capacity * area * layer.thickness
+        )
     return capacitance
 
 

@@ -1,5 +1,7 @@
 """Problem 1 definition and model factory."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,32 @@ class TestSolverBackendSelection:
             alpha_floorplan(), solver_mode="mg"
         )
         assert problem.solver_mode == "mg"
+
+    def test_assembly_time_covers_blueprint_recording(
+        self, small_grid, small_power, monkeypatch
+    ):
+        """``assembly_time_s`` includes the recording step of a fresh
+        problem's first model, not only the model constructor."""
+        from repro.thermal.model import PackageThermalModel
+
+        record = PackageThermalModel.network_blueprint
+        recording_s = []
+
+        def timed_record(model):
+            start = time.perf_counter()
+            blueprint = record(model)
+            time.sleep(0.05)  # make the recording step dominate
+            recording_s.append(time.perf_counter() - start)
+            return blueprint
+
+        monkeypatch.setattr(PackageThermalModel, "network_blueprint", timed_record)
+        problem = CoolingSystemProblem(small_grid, small_power, name="fresh")
+        problem.model(())
+        problem.model((1, 2))
+        assert len(recording_s) == 1
+        stats = problem.solver_stats
+        assert (stats.full_builds, stats.incremental_builds) == (1, 1)
+        assert stats.assembly_time_s >= recording_s[0]
 
     def test_with_solver_mode_copies_configuration(self, small_problem):
         small_problem.model((1,))  # record the blueprint

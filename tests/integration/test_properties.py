@@ -45,9 +45,10 @@ class TestPassiveNetworkProperties:
         """Heat out through convection equals heat in, always."""
         model = PackageThermalModel(_GRID, power)
         state = model.solve(0.0)
+        ground = model.system.ground
         flux = sum(
-            g * (state.theta_k[node] - 318.15)
-            for node, g in model.network.ground_items()
+            ground[node] * (state.theta_k[node] - 318.15)
+            for node in np.flatnonzero(ground)
         )
         assert abs(flux - float(np.sum(power))) < 1e-8 * max(1.0, np.sum(power))
 
@@ -138,9 +139,10 @@ class TestDeployedModelProperties:
         model = PackageThermalModel(_GRID, power, tec_tiles=tiles)
         current = 0.02 * model.runaway_current().value
         state = model.solve(current)
+        ground = model.system.ground
         flux = sum(
-            g * (state.theta_k[node] - 318.15)
-            for node, g in model.network.ground_items()
+            ground[node] * (state.theta_k[node] - 318.15)
+            for node in np.flatnonzero(ground)
         )
         expected = float(np.sum(power)) + state.tec_input_power_w()
         assert abs(flux - expected) < 1e-7 * max(1.0, abs(expected))

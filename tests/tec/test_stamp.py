@@ -1,10 +1,12 @@
 """The Figure 4 compact-model stamp."""
 
+import numpy as np
 import pytest
 
 from repro.tec.materials import TecDeviceParameters
-from repro.tec.stamp import stamp_tec
-from repro.thermal.network import NodeRole, ThermalNetwork
+from repro.tec.stamp import stamp_conductances
+from repro.thermal.network import NodeRole
+from tests.thermal.network_oracle import ThermalNetwork, stamp_tec
 
 
 @pytest.fixture()
@@ -91,3 +93,29 @@ class TestStamp:
         stamp_tec(net, DEVICE, silicon_node=0, spreader_node=1, tile=0)
         stamp_tec(net, DEVICE, silicon_node=2, spreader_node=1, tile=1)
         assert len(net.indices_with_role(NodeRole.TEC_HOT)) == 2
+
+
+class TestStampConductances:
+    """The contact physics the package's stamp template records."""
+
+    def test_matches_element_wise_stamp(self, net):
+        stamp = stamp_tec(
+            net, DEVICE, silicon_node=0, spreader_node=1, tile=0,
+            cold_series_resistance=2.0, hot_series_resistance=4.0,
+        )
+        conductances = dict(net.conductance_items())
+        g_cold, g_hot = stamp_conductances(
+            DEVICE, cold_series_resistance=2.0, hot_series_resistance=4.0
+        )
+        assert conductances[(0, stamp.cold_node)] == g_cold
+        assert conductances[(1, stamp.hot_node)] == g_hot
+
+    def test_vectorized_over_tiles(self):
+        series = np.array([0.0, 1.0, 3.0])
+        g_cold, _ = stamp_conductances(DEVICE, cold_series_resistance=series)
+        for value, r in zip(g_cold, series):
+            assert value == stamp_conductances(DEVICE, cold_series_resistance=float(r))[0]
+
+    def test_negative_series_resistance_rejected(self):
+        with pytest.raises(ValueError):
+            stamp_conductances(DEVICE, hot_series_resistance=np.array([1.0, -1.0]))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.linalg import cholesky_is_spd, is_irreducible, is_stieltjes
-from repro.thermal.assembly import assemble
-from repro.thermal.network import NodeRole, ThermalNetwork
+from repro.thermal.network import NodeRole
+from tests.thermal.network_oracle import ThermalNetwork, assemble
 from repro.utils import celsius_to_kelvin
 
 

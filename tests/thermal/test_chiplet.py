@@ -37,6 +37,23 @@ from repro.thermal.model import (
 from repro.thermal.reference import ReferenceChipletModel
 
 
+def _assert_same_recording(a, b):
+    """Two blueprint recordings hold bitwise-equal arrays and values."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            _assert_same_recording(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same_recording(x, y)
+    else:
+        assert a == b
+
+
 def _row_of_chiplets(draw):
     """Hypothesis helper: 1-3 non-overlapping grids left to right."""
     count = draw(st.integers(min_value=1, max_value=3))
@@ -67,6 +84,32 @@ class TestCompositeGridProperties:
             chiplet, row, col = composite.locate(flat)
             assert composite.global_index(chiplet, row, col) == flat
             assert composite.chiplet_of(flat) == chiplet
+
+    @given(composite=_composites())
+    @settings(max_examples=40, deadline=None)
+    def test_maps_match_per_tile_formula(self, composite):
+        """The cached NumPy maps behind locate / chiplet_of /
+        lattice_index / occupied_lattice_tiles against the placement
+        formula, tile by tile."""
+        lattice = composite.occupied_lattice_tiles()
+        flat = 0
+        for chiplet, grid in enumerate(composite.grids):
+            row0, col0 = composite.origins[chiplet]
+            for row in range(grid.rows):
+                for col in range(grid.cols):
+                    expected = (row0 + row) * composite.cols + (col0 + col)
+                    assert composite.locate(flat) == (chiplet, row, col)
+                    assert composite.chiplet_of(flat) == chiplet
+                    assert composite.lattice_index(flat) == expected
+                    assert composite.row_col(flat) == (row0 + row, col0 + col)
+                    assert lattice[flat] == expected
+                    flat += 1
+        assert flat == composite.num_tiles == lattice.size
+        for bad in (-1, composite.num_tiles):
+            with pytest.raises(IndexError):
+                composite.locate(bad)
+            with pytest.raises(IndexError):
+                composite.lattice_index(bad)
 
     @given(composite=_composites())
     @settings(max_examples=40, deadline=None)
@@ -249,10 +292,9 @@ class TestSingleDieIdentity:
             routed.system.g_matrix.toarray(), direct.system.g_matrix.toarray()
         )
         assert np.array_equal(routed.system.p_base, direct.system.p_base)
-        bp_routed = routed.network_blueprint()
-        bp_direct = direct.network_blueprint()
-        assert bp_routed._events == bp_direct._events
-        assert bp_routed._templates == bp_direct._templates
+        _assert_same_recording(
+            vars(routed.network_blueprint()), vars(direct.network_blueprint())
+        )
 
     def test_problem_factory_degenerates(self):
         layout = ChipletLayout((ChipletSpec("die", TileGrid(4, 4), 5.0),))
@@ -304,11 +346,8 @@ class TestCompositeModel:
         # Interposer nodes carry the slab capacitance, not the floor.
         from repro.thermal.network import NodeRole
 
-        itp = [
-            index for index, node in enumerate(model.network.nodes)
-            if node.role is NodeRole.INTERPOSER
-        ]
-        assert itp and np.all(capacitance[itp] > 1.0e-6)
+        itp = model.nodes.indices_with_role(NodeRole.INTERPOSER)
+        assert itp.size and np.all(capacitance[itp] > 1.0e-6)
         trace = TransientSimulator(model, dt=1e-3, rom="off").run(5)
         assert trace.shape == (5,)
         assert np.all(np.isfinite(trace))

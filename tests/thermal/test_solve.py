@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.thermal.assembly import assemble
-from repro.thermal.network import NodeRole, ThermalNetwork
+from repro.thermal.network import NodeRole
+from tests.thermal.network_oracle import ThermalNetwork, assemble
 from repro.thermal.solve import (
     AUTO_SUPPORT_FLOOR,
     SingularSystemError,

@@ -18,7 +18,7 @@ class TestCapacitances:
         die_c = capacitance[small_model.silicon_nodes[0]]
         from repro.thermal.network import NodeRole
 
-        sink_node = small_model.network.indices_with_role(NodeRole.SINK)[0]
+        sink_node = small_model.nodes.indices_with_role(NodeRole.SINK)[0]
         assert capacitance[sink_node] > 10.0 * die_c
 
 
